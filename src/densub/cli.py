@@ -34,12 +34,15 @@ def _load_graph(path_arg: str):
         return G.read_edge_list(f.read())
 
 
-def _graph_stats(g) -> dict:
+def _graph_stats(g, d: Fraction | None = None) -> dict:
+    """n, m, max degree and D; pass D when the caller already computed it."""
     stats = {"n": g.n, "m": g.m}
     if isinstance(g, Graph):
         stats["max_degree"] = g.max_degree()
         if 1 <= g.m <= ORACLE_EDGE_LIMIT:
-            stats["oracle_density"] = format_ratio(oracle.exact_densest(g).value)
+            if d is None:
+                d = oracle.exact_densest(g).value
+            stats["oracle_density"] = format_ratio(d)
         else:
             stats["oracle_density"] = None
     return stats
@@ -65,10 +68,11 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _report(args, g, result: dict, check: dict | None, trace: RoundTrace | None, t0: float):
+def _report(args, g, result: dict, check: dict | None, trace: RoundTrace | None,
+            t0: float, d: Fraction | None = None):
     payload = {
         "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args.cmd,
-        "graph": _graph_stats(g) if g is not None else None,
+        "graph": _graph_stats(g, d) if g is not None else None,
         "result": result,
         "check": check,
         "trace": trace.to_json() if trace is not None else None,
@@ -193,12 +197,12 @@ def cmd_approx(args) -> int:
         "phases": dc.phase_count(g.n, eps) + 1,
         "rounds": trace.rounds_executed,
     }
-    check = None
+    check = d = None
     if 1 <= g.m <= ORACLE_EDGE_LIMIT:
         d = oracle.exact_densest(g).value
         bound = (1 - eps) * d / (1 + eps)
         check = _check(bound, dhat, dhat >= bound)
-    return _report(args, g, result, check, trace, t0)
+    return _report(args, g, result, check, trace, t0, d)
 
 
 def cmd_dual(args) -> int:
@@ -207,7 +211,7 @@ def cmd_dual(args) -> int:
     z, eps = parse_ratio(args.z), parse_ratio(args.eps)
     sol, trace = mwu.fractional_dual(g, z, eps, T_override=args.T)
     result = sol.to_json()
-    check = None
+    check = d = None
     if 1 <= g.m <= ORACLE_EDGE_LIMIT:
         d = oracle.exact_densest(g).value
         if z >= d:
@@ -216,7 +220,7 @@ def cmd_dual(args) -> int:
                 "achieved": str(sol.feasible),
                 "pass": sol.feasible,
             }
-    return _report(args, g, result, check, trace, t0)
+    return _report(args, g, result, check, trace, t0, d)
 
 
 def cmd_primal(args) -> int:

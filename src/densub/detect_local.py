@@ -132,9 +132,9 @@ def _charge_subset_broadcast(
 def _ball_optimum(g: Graph, verts, edges, cache) -> tuple[frozenset[int], Fraction]:
     """Exact densest subgraph inside one ball, in original vertex ids.
 
-    Small balls go through the exhaustive solver with its lexicographic tie
-    rule; larger ones use the min-cut oracle, whose witness (the unique
-    maximum-cardinality optimum) is equally deterministic.
+    Every ball goes through the certified min-cut oracle. Its witness is a
+    deterministic function of the ball (with ties, the minimal min-cut side
+    of the last improving test), so equal balls stamp equal sets.
     """
     key = frozenset(verts)
     hit = cache.get(key)
@@ -142,10 +142,7 @@ def _ball_optimum(g: Graph, verts, edges, cache) -> tuple[frozenset[int], Fracti
         return hit
     pos = {v: i for i, v in enumerate(verts)}
     sub = Graph(len(verts), [(pos[a], pos[b]) for a, b in edges])
-    if sub.n <= oracle.BRUTE_VERTEX_CAP:
-        res = oracle.brute_densest(sub)
-    else:
-        res = oracle.exact_densest(sub)
+    res = oracle.exact_densest(sub)
     members = frozenset(verts[i] for i in res.best_subset.ids())
     out = (members, res.value)
     cache[key] = out

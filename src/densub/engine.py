@@ -351,33 +351,33 @@ def collect_ball(g: Graph, r: int, cfg: SimConfig | None = None):
     for v in range(g.n):
         dist = g.distances_from(v)
         inside = [u for u in range(g.n) if 0 <= dist[u] <= r]
-        inside_set = set(inside)
-        ball_edges = tuple(
-            e for e in g.edges if e[0] in inside_set and e[1] in inside_set
-        )
-        balls.append((tuple(inside), ball_edges))
+        # one edge pass: both endpoints share a component, so dist[a] < 0
+        # alone rules an edge out; hist[d] counts edges whose nearer
+        # endpoint sits at distance d <= r
+        hist = [0] * (r + 1)
+        ball_edges = []
+        for e in g.edges:
+            near, far = dist[e[0]], dist[e[1]]
+            if near > far:
+                near, far = far, near
+            if 0 <= near <= r:
+                hist[near] += 1
+                if far <= r:
+                    ball_edges.append(e)
+        balls.append((tuple(inside), tuple(ball_edges)))
         deg = g.degree(v)
         if deg == 0:
             continue
-        # knowledge after k rounds = edges with an endpoint at dist <= k-1;
-        # histogram over each edge's nearer-endpoint distance, then prefix
-        hist: dict[int, int] = {}
-        for a, b in g.edges:
-            da, db = dist[a], dist[b]
-            med = min(d for d in (da, db) if d >= 0) if (da >= 0 or db >= 0) else -1
-            if med >= 0:
-                hist[med] = hist.get(med, 0) + 1
-        known = 0
-        cum: list[int] = []
-        for d in range(0, r + 2):
-            known += hist.get(d, 0)
-            cum.append(known)
-        for k in range(1, r + 2):
-            known_k = cum[min(k - 1, r + 1)] if k - 1 >= 0 else 0
-            payload = 4 + w + 2 * w * known_k  # own id + known edges
-            trace.total_bits += deg * payload
-            if payload > trace.max_message_bits:
-                trace.max_message_bits = payload
+        # round k sends own id + the edges known after k-1 rounds, those
+        # with nearer endpoint at distance <= k-1; the last payload is largest
+        known = known_sum = 0
+        for h in hist:
+            known += h
+            known_sum += known
+        trace.total_bits += deg * ((r + 1) * (4 + w) + 2 * w * known_sum)
+        payload = 4 + w + 2 * w * known
+        if payload > trace.max_message_bits:
+            trace.max_message_bits = payload
     return balls, trace
 
 

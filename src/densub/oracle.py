@@ -1,9 +1,10 @@
 """Centralized exact ground truth for densities and orientations.
 
 Two independent routes to the maximum subgraph density: an exhaustive search
-over vertex subsets (small graphs) and Goldberg's min-cut construction with
-an exact rational search over candidate densities. A brute-force directed
-densest-pair solver and the minimum achievable max-outdegree round this out.
+over vertex subsets (small graphs) and Dinkelbach's iteration over
+Goldberg's min-cut test, whose answer carries a checked certificate. A
+brute-force directed densest-pair solver and the minimum achievable
+max-outdegree round this out.
 """
 
 from __future__ import annotations
@@ -45,17 +46,17 @@ class _Dinic:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, c: int) -> None:
+    def add_edge(self, u: int, v: int, c: int, back: int = 0) -> None:
+        """Arc u->v with capacity c, paired with arc v->u of capacity back."""
         self.head[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(c)
         self.head[v].append(len(self.to))
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(back)
 
     def max_flow(self, s: int, t: int) -> int:
         head, to, cap = self.head, self.to, self.cap
-        INF = 1 << 400
         flow = 0
         while True:
             level = [-1] * self.n
@@ -71,31 +72,38 @@ class _Dinic:
                         q.append(u)
             if level[t] < 0:
                 return flow
+            # blocking flow without recursion: grow a path of level arcs
+            # from s one arc at a time, augment it on reaching t, and
+            # retreat from dead ends
             it = [0] * self.n
-
-            def dfs(v: int, pushed: int) -> int:
+            path: list[int] = []  # arc ids from s to the tip v
+            v = s
+            while True:
                 if v == t:
-                    return pushed
-                res = 0
-                edges = head[v]
-                lv = level[v] + 1
-                while it[v] < len(edges):
-                    i = edges[it[v]]
-                    u = to[i]
-                    if cap[i] > 0 and level[u] == lv:
-                        got = dfs(u, min(pushed - res, cap[i]))
-                        if got:
-                            cap[i] -= got
-                            cap[i ^ 1] += got
-                            res += got
-                            if res == pushed:
-                                return res
-                    it[v] += 1
-                if res == 0:
-                    level[v] = -1  # dead end for the rest of this phase
-                return res
-
-            flow += dfs(s, INF)
+                    push = min(cap[i] for i in path)
+                    for i in path:
+                        cap[i] -= push
+                        cap[i ^ 1] += push
+                    flow += push
+                    k = 0
+                    while cap[path[k]]:
+                        k += 1
+                    del path[k:]  # resume at the first saturated arc's tail
+                else:
+                    arcs, lv, j = head[v], level[v] + 1, it[v]
+                    while j < len(arcs) and not (
+                        cap[arcs[j]] > 0 and level[to[arcs[j]]] == lv
+                    ):
+                        j += 1
+                    it[v] = j
+                    if j < len(arcs):
+                        path.append(arcs[j])
+                    elif v == s:
+                        break
+                    else:
+                        level[v] = -1  # dead end for the rest of this phase
+                        path.pop()
+                v = to[path[-1]] if path else s
 
     def min_cut_side(self, s: int) -> set[int]:
         """Vertices reachable from s in the residual graph (minimal cut side)."""
@@ -110,13 +118,17 @@ class _Dinic:
         return side
 
 
-def _denser_than(g: Graph, guess: Fraction) -> set[int] | None:
-    """Vertices of a subgraph with density > guess, or None if none exists.
+def _denser_than(g: Graph, guess: Fraction) -> tuple[set[int] | None, list[int]]:
+    """A vertex set of density > guess, or a proof that none exists.
 
     Goldberg's construction: source->v with capacity m, v->sink with capacity
     m + 2*guess - deg(v), each edge with capacity 1 both ways; the min cut is
     m*n - 2*max_S (|E(S)| - guess*|S|). Capacities are scaled by the guess's
-    denominator to stay integral.
+    denominator b to stay integral. Returns (S, []) when such an S exists, S
+    the source side of the minimal min cut. Otherwise the flow saturates
+    every source arc and the result is (None, give): edge e = (u, v) hands v
+    the share give[e] / (2b) of itself, that is b plus its flow toward v,
+    and by flow conservation no vertex then carries more than guess.
     """
     n, m = g.n, g.m
     b = guess.denominator
@@ -127,32 +139,58 @@ def _denser_than(g: Graph, guess: Fraction) -> set[int] | None:
         net.add_edge(src, v, m * b)
         net.add_edge(v, snk, m * b + 2 * a - g.degree(v) * b)
     for u, v in g.edges:
-        net.add_edge(u, v, b)
-        net.add_edge(v, u, b)
+        net.add_edge(u, v, b, b)
     flow = net.max_flow(src, snk)
     if flow >= m * n * b:
-        return None
+        # edge e's arc u->v is arc 4n + 2e; its pair's residual is b + f(u->v)
+        return None, net.cap[4 * n + 1 :: 2]
     side = net.min_cut_side(src)
     side.discard(src)
-    return side
+    return side, []
 
 
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The fraction with the smallest denominator in the open interval (lo, hi).
+def _check_certificate(
+    g: Graph, witness, value: Fraction, den: int, give: list[int]
+) -> None:
+    """Raise AssertionError unless (witness, give) proves that D(g) = value.
 
-    Continued-fraction (Stern-Brocot) descent; requires 0 <= lo < hi.
+    The witness must attain `value`. Edge e = (u, v) hands give[e] / den of
+    itself to v and the rest to u; every subgraph S has |E(S)| at most the
+    total share of its vertices, so loads of at most `value` bound every
+    density by `value`. Integers only, O(n + m).
     """
-    if not (0 <= lo < hi):
-        raise ValueError("need 0 <= lo < hi")
-    w = lo.numerator // lo.denominator
-    if w + 1 < hi:
-        return Fraction(w + 1)  # floor(lo)+1 > lo always, so it is inside
-    lo2, hi2 = lo - w, hi - w  # lo2 in [0, 1), hi2 in (lo2, 1]
-    if lo2 == 0:
-        inv = 1 / hi2
-        k = inv.numerator // inv.denominator + 1  # smallest k with 1/k < hi2
-        return w + Fraction(1, k)
-    return w + 1 / _simplest_between(1 / hi2, 1 / lo2)
+    if len(give) != g.m or not all(0 <= x <= den for x in give):
+        raise AssertionError("oracle certificate: an edge share leaves [0, 1]")
+    inside = g.induced_edge_count(witness)
+    if not witness or inside * value.denominator != len(witness) * value.numerator:
+        raise AssertionError("oracle certificate: the witness misses the value")
+    load = [0] * g.n
+    for (u, v), x in zip(g.edges, give):
+        load[u] += den - x
+        load[v] += x
+    if max(load) * value.denominator > value.numerator * den:
+        raise AssertionError("oracle certificate: a vertex load exceeds the value")
+
+
+def _tree_shares(g: Graph, comps: list[list[int]], cap: int) -> list[int]:
+    """Shares (over cap) loading no forest vertex above (cap - 1) / cap.
+
+    Each tree is rooted at its smallest vertex; the edge above a vertex whose
+    subtree has s vertices hands it 1 - s/cap, so a non-root carries exactly
+    1 - 1/cap and a root of a k-vertex tree (k - 1)/cap, given cap >= k.
+    """
+    parent = list(range(g.n))  # roots are their own parent
+    order = [c[0] for c in comps]
+    for v in order:  # BFS: the loop also visits the children it appends
+        for u in g.neighbors(v):
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    size = [1] * g.n
+    for v in reversed(order):
+        if parent[v] != v:
+            size[parent[v]] += size[v]
+    return [cap - size[v] if parent[v] == u else size[u] for u, v in g.edges]
 
 
 def _peel_lower_bound(g: Graph) -> tuple[Fraction, set[int]]:
@@ -193,73 +231,72 @@ def _peel_lower_bound(g: Graph) -> tuple[Fraction, set[int]]:
 
 
 def exact_densest(g: Graph) -> OracleResult:
-    """Maximum subgraph density via min-cut feasibility tests.
+    """Maximum subgraph density: Dinkelbach's iteration on Goldberg's network.
 
     Forests are resolved directly (the largest tree component is optimal).
-    Otherwise a peeling pass supplies an attained lower bound, vertices
-    that no denser subgraph can contain are stripped, and the remaining
-    core is searched by maintaining an interval [lo, hi] where lo is
-    attained by a witness and no subgraph is denser than hi, probing the
-    simplest fraction in between. Densities have denominator <= n after
-    reduction, so when the simplest candidate between the bounds needs a
-    bigger denominator, one final feasibility check at lo settles the
-    optimum exactly.
+    Otherwise a min-degree peel supplies an attained lower bound lo with its
+    witness, and vertices that no subgraph denser than lo can contain are
+    stripped (k-core). On the remaining core, each min-cut test at lo either
+    returns a denser set, whose density becomes lo and which becomes the
+    witness, or proves that none exists (Dinkelbach 1967). lo rises strictly
+    through finitely many densities, so the loop ends at D.
+
+    Every answer is checked before it is returned (`_check_certificate`):
+    the witness attains the value, and a fractional orientation of every
+    edge loads no vertex above it. The orientation comes from the last
+    max flow on the core, from the strip order off the core (a stripped
+    vertex takes its edges to vertices stripped later or kept), and from
+    subtree sizes on forests.
     """
-    if g.m == 0:
-        if g.n == 0:
-            raise ValueError("graph has no vertices")
-        return OracleResult(Subset(g.n, [0]), Fraction(0), "flow")
+    if g.n == 0:
+        raise ValueError("graph has no vertices")
     comps = g.components()
-    if all(
-        g.induced_edge_count(c) == len(c) - 1 or g.induced_edge_count(c) == 0
-        for c in comps
-    ):
+    if g.m == 0:
+        witness, lo, den, give = {0}, Fraction(0), 1, []
+    elif g.m == g.n - len(comps):
         # forest: within one tree the whole tree is densest, and a union of
         # trees is a mediant of their densities, never above the best
-        best = max(
-            (Fraction(len(c) - 1, len(c)), c) for c in comps if len(c) > 1
-        )
-        return OracleResult(Subset(g.n, best[1]), best[0], "flow")
-    lo, witness = _peel_lower_bound(g)
-    # only vertices of degree > lo can belong to a subgraph denser than lo
-    core_deg = [g.degree(v) for v in range(g.n)]
-    from collections import deque as _dq
-
-    doomed = _dq(v for v in range(g.n) if core_deg[v] <= lo)
-    in_core = [True] * g.n
-    while doomed:
-        v = doomed.popleft()
-        if not in_core[v]:
-            continue
-        in_core[v] = False
-        for u in g.neighbors(v):
-            if in_core[u]:
-                core_deg[u] -= 1
-                if core_deg[u] <= lo:
-                    doomed.append(u)
-    core_ids = [v for v in range(g.n) if in_core[v]]
-    if not core_ids:
-        return OracleResult(Subset(g.n, sorted(witness)), lo, "flow")
-    sub, old_ids = g.induced(core_ids)
-    hi = Fraction(g.n)  # density never exceeds (n-1)/2 < n
-    while True:
-        if lo == hi:
-            break
-        probe = _simplest_between(lo, hi)
-        if probe.denominator > sub.n:
-            # no remaining candidate strictly inside; certify lo or jump
-            better = _denser_than(sub, lo)
-            if better is None:
-                break
-            witness = {old_ids[i] for i in better}
-            lo = Fraction(sub.induced_edge_count(better), len(better))
-            continue
-        better = _denser_than(sub, probe)
-        if better is None:
-            hi = probe
-        else:
-            witness = {old_ids[i] for i in better}
-            lo = Fraction(sub.induced_edge_count(better), len(better))
+        lo, best = max((Fraction(len(c) - 1, len(c)), c) for c in comps)
+        witness, den = best, len(best)
+        give = _tree_shares(g, comps, den)
+    else:
+        lo, witness = _peel_lower_bound(g)
+        # only vertices of degree > lo can belong to a subgraph denser than
+        # lo; gone[v] is v's strip rank, g.n for the core
+        core_deg = [g.degree(v) for v in range(g.n)]
+        gone = [g.n] * g.n
+        stripped = 0
+        doomed = deque(v for v in range(g.n) if core_deg[v] <= lo)
+        while doomed:
+            v = doomed.popleft()
+            if gone[v] < g.n:
+                continue
+            gone[v] = stripped
+            stripped += 1
+            for u in g.neighbors(v):
+                if gone[u] == g.n:
+                    core_deg[u] -= 1
+                    if core_deg[u] <= lo:
+                        doomed.append(u)
+        flow_give: list[int] = []
+        if stripped < g.n:
+            sub, old_ids = g.induced(v for v in range(g.n) if gone[v] == g.n)
+            while True:
+                better, flow_give = _denser_than(sub, lo)
+                if better is None:
+                    break
+                witness = {old_ids[i] for i in better}
+                lo = Fraction(sub.induced_edge_count(better), len(better))
+        den = 2 * lo.denominator
+        # core edges keep the induced subgraph's (sorted) order
+        core_shares = iter(flow_give)
+        give = [
+            next(core_shares) if gone[u] == gone[v]
+            else den if gone[v] < gone[u]
+            else 0
+            for u, v in g.edges
+        ]
+    _check_certificate(g, witness, lo, den, give)
     return OracleResult(Subset(g.n, sorted(witness)), lo, "flow")
 
 

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from densub import oracle
 from densub.decompose import ldd_traced
 from densub.detect_congest import approx_densest, congest_detect
 from densub.detect_local import detection_radius, local_detect
@@ -292,13 +293,24 @@ def test_criterion_09_orientation_end_to_end():
     )
 
 
-def test_criterion_10_oracle_self_consistency():
-    """exact == brute on 200 graphs; witness orientation is optimal."""
+def test_criterion_10_oracle_self_consistency(monkeypatch):
+    """exact == brute on 200 certified graphs; witness orientation is optimal."""
+    certified = []
+    check = oracle._check_certificate
+
+    def spy(g, witness, value, den, give):
+        check(g, witness, value, den, give)
+        certified.append((g, value))
+
+    monkeypatch.setattr(oracle, "_check_certificate", spy)
     rng = random.Random(10)
     for trial in range(200):
         n = rng.randint(2, 12)
         g = erdos_renyi(n, rng.choice([0.2, 0.4, 0.6, 0.8]), seed=trial)
-        assert exact_densest(g).value == brute_densest(g).value
+        d = exact_densest(g).value
+        assert d == brute_densest(g).value
+        assert certified[-1] == (g, d)
+    assert len(certified) == 200
     rng = random.Random(11)
     for trial in range(25):
         g = erdos_renyi(rng.randint(2, 20), 0.35, seed=300 + trial)
@@ -310,7 +322,7 @@ def test_criterion_10_oracle_self_consistency():
         if g.m:
             d = exact_densest(g).value
             assert alpha == frac_ceil(d)
-    announce(10, "200/200 density agreements; 25 witness orientations optimal")
+    announce(10, "200/200 certified density agreements; 25 witness orientations optimal")
 
 
 def test_criterion_11_alpha_bit_width():

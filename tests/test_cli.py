@@ -3,7 +3,7 @@ import json
 import pytest
 
 from densub.cli import main
-from densub.graphs import complete, cycle, write_edge_list
+from densub.graphs import Graph, complete, cycle, write_edge_list
 
 
 @pytest.fixture
@@ -32,6 +32,16 @@ class TestCli:
         assert code == 0
         assert payload["result"]["D"] == "2/1"
         assert payload["result"]["witness"] == [0, 1, 2, 3, 4]
+
+    def test_exact_path_square_3000(self, capsys, tmp_path):
+        # deep flow paths once overflowed a recursive max-flow search
+        n = 3000
+        edges = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
+        p = tmp_path / "sq.el"
+        p.write_text(write_edge_list(Graph(n, edges)), encoding="utf-8")
+        code, payload = run_json(capsys, ["exact", "--in", str(p)])
+        assert code == 0
+        assert payload["result"]["D"] == "1999/1000"
 
     def test_exact_brute(self, capsys, k5_file):
         code, payload = run_json(capsys, ["exact", "--in", k5_file, "--brute"])

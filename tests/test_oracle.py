@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from densub import oracle
 from densub.graphs import (
     DirectedGraph,
     Graph,
@@ -21,6 +22,29 @@ from densub.oracle import (
     min_max_outdegree,
     witness_orientation,
 )
+
+
+def certificate_spy(monkeypatch) -> list[tuple]:
+    """Record every (g, witness, value, den, give) the oracle certifies."""
+    seen = []
+    check = oracle._check_certificate
+
+    def spy(*args):
+        check(*args)
+        seen.append(args)
+
+    monkeypatch.setattr(oracle, "_check_certificate", spy)
+    return seen
+
+
+def path_square(n: int) -> Graph:
+    return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)])
+
+
+def grid(rows: int, cols: int) -> Graph:
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, right + down)
 
 
 class TestBruteDensest:
@@ -69,12 +93,57 @@ class TestExactDensest:
         g = planted_dense(50, 6, seed=7)
         assert exact_densest(g).value >= Fraction(5, 2)
 
-    def test_agreement_with_brute_200_graphs(self):
+    def test_agreement_with_brute_200_graphs(self, monkeypatch):
+        seen = certificate_spy(monkeypatch)
         rng = random.Random(0)
         for trial in range(200):
             n = rng.randint(2, 12)
             g = erdos_renyi(n, rng.choice([0.2, 0.4, 0.6]), seed=trial)
-            assert exact_densest(g).value == brute_densest(g).value
+            r = exact_densest(g)
+            assert r.value == brute_densest(g).value
+            assert seen[-1][0] == g and seen[-1][2] == r.value
+        assert len(seen) == 200
+
+    def test_certificate_rejects_tampering(self, monkeypatch):
+        # K4 plus a pendant vertex: D = 3/2 on the K4, the whole graph 7/5
+        g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)])
+        seen = certificate_spy(monkeypatch)
+        assert exact_densest(g).value == Fraction(3, 2)
+        _, witness, value, den, give = seen[-1]
+        monkeypatch.undo()
+        check = oracle._check_certificate
+        check(g, witness, value, den, give)
+        with pytest.raises(AssertionError, match="share"):
+            check(g, witness, value, den, [den + 1] + give[1:])
+        with pytest.raises(AssertionError, match="witness"):
+            check(g, set(witness) - {min(witness)}, value, den, give)
+        with pytest.raises(AssertionError, match="load"):
+            check(g, set(range(5)), Fraction(7, 5), den, give)
+
+    @pytest.mark.parametrize(
+        "g, d",
+        [
+            (path_square(3000), Fraction(1999, 1000)),
+            (cycle(3000), Fraction(1)),
+            (grid(40, 40), Fraction(39, 20)),
+        ],
+        ids=["path_square_3000", "cycle_3000", "grid_40x40"],
+    )
+    def test_scale_few_flows(self, monkeypatch, g, d):
+        flows = []
+        denser_than = oracle._denser_than
+
+        def counted(sub, guess):
+            flows.append(guess)
+            return denser_than(sub, guess)
+
+        monkeypatch.setattr(oracle, "_denser_than", counted)
+        seen = certificate_spy(monkeypatch)
+        r = exact_densest(g)
+        assert r.value == d
+        assert density(g, r.best_subset) == d
+        assert len(flows) <= 3
+        assert len(seen) == 1
 
 
 class TestBruteDirectedDensest:
