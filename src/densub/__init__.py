@@ -16,8 +16,6 @@ from .engine import (
     VertexProgram,
     collect_ball,
     component_min,
-    component_or,
-    component_sum,
     knowledge_states,
     msg_bits,
     run,
@@ -72,8 +70,6 @@ __all__ = [
     "VertexProgram",
     "collect_ball",
     "component_min",
-    "component_or",
-    "component_sum",
     "knowledge_states",
     "msg_bits",
     "run",

@@ -29,9 +29,20 @@ from .graphs import Graph, density, format_ratio, parse_ratio
 ORACLE_EDGE_LIMIT = 20000
 
 
-def _load_graph(path_arg: str):
+def _read_graph(path_arg: str):
     with open(path_arg, "r", encoding="utf-8") as f:
         return G.read_edge_list(f.read())
+
+
+def _load_graph(path_arg: str) -> Graph:
+    """An undirected graph; only `exact --brute` reads directed edge lists."""
+    g = _read_graph(path_arg)
+    if isinstance(g, G.DirectedGraph):
+        raise ValueError(
+            f"{path_arg}: this command needs an undirected graph, but the "
+            "edge list has an 'n m directed' header"
+        )
+    return g
 
 
 def _graph_stats(g, d: Fraction | None = None) -> dict:
@@ -118,7 +129,7 @@ def cmd_gen(args) -> int:
 
 def cmd_exact(args) -> int:
     t0 = time.time()
-    g = _load_graph(args.infile)
+    g = (_read_graph if args.brute else _load_graph)(args.infile)
     if args.brute:
         res = (
             oracle.brute_directed_densest(g)
@@ -327,21 +338,12 @@ def cmd_ldd(args) -> int:
     g = _load_graph(args.infile)
     eps = parse_ratio(args.eps)
     clustering, trace = ldd_traced(g, eps, args.seed)
-    # radius check per cluster
+    # every cluster is connected, with radius <= budget around its center
     ok = True
     for center, members in clustering.clusters().items():
-        mem = set(members)
-        from collections import deque
-
-        dist = {center: 0}
-        q = deque([center])
-        while q:
-            v = q.popleft()
-            for u in g.neighbors(v):
-                if u in mem and u not in dist:
-                    dist[u] = dist[v] + 1
-                    q.append(u)
-        if set(dist) != mem or max(dist.values()) > clustering.budget:
+        sub, old_ids = g.induced(members)
+        dist = sub.distances_from(old_ids.index(center))
+        if min(dist) < 0 or max(dist) > clustering.budget:
             ok = False
     result = {
         "centers": list(clustering.centers),

@@ -29,9 +29,6 @@ class Clustering:
     cut_edges: int
     budget: int  # the start-time budget delta; cluster radius <= budget
 
-    def members(self, center: int) -> list[int]:
-        return [v for v, c in enumerate(self.cluster_of) if c == center]
-
     def clusters(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
         for v, c in enumerate(self.cluster_of):

@@ -19,6 +19,9 @@ from fractions import Fraction
 
 from .decompose import ldd_traced
 from .engine import (
+    _MASK64,
+    _MIX1,
+    _MIX2,
     RoundTrace,
     SimConfig,
     component_min,
@@ -29,10 +32,6 @@ from .graphs import Graph, Subset, density
 from .mwu import integral_primal
 
 __all__ = ["congest_detect", "approx_densest", "default_trials", "phase_count"]
-
-_MIX1 = 0x9E3779B97F4A7C15
-_MIX2 = 0xBF58476D1CE4E5B9
-_MASK64 = (1 << 64) - 1
 
 DEFAULT_PRIMAL_ITERATIONS = 64
 

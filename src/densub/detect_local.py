@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decompose import shift_budget
-from .engine import RoundTrace, collect_ball
+from .engine import RoundTrace, _id_width, collect_ball
 from .graphs import DirectedGraph, Graph, Subset, density, format_ratio
 from . import oracle
 
@@ -32,8 +32,6 @@ __all__ = [
     "local_detect",
     "local_detect_directed",
 ]
-
-DIRECTED_BALL_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -77,76 +75,80 @@ def detection_radius(n: int, eps: Fraction) -> int:
     return 2 * shift_budget(n, Fraction(eps) / 2)
 
 
-def _id_width(n: int) -> int:
-    return max(8, max(n - 1, 1).bit_length() + 1)
-
-
-def _charge_flag_gossip(g: Graph, rounds: int, trace: RoundTrace) -> None:
-    """Bit charge for spreading (id, flag) pairs for `rounds` rounds.
-
-    After k rounds a vertex has heard of everything within distance k;
-    each gossip message carries that many (id, flag) entries.
-    """
-    w = _id_width(g.n) + 1
-    for v in range(g.n):
-        deg = g.degree(v)
-        if deg == 0:
-            continue
-        dist = g.distances_from(v)
-        hist: dict[int, int] = {}
-        for d in dist:
-            if d >= 0:
-                hist[d] = hist.get(d, 0) + 1
-        known = 0
-        for k in range(1, rounds + 1):
-            known += hist.get(k - 1, 0)
-            payload = 4 + known * w
-            trace.total_bits += deg * payload
-            if payload > trace.max_message_bits:
-                trace.max_message_bits = payload
-    trace.rounds_executed += rounds
-
-
-def _charge_subset_broadcast(
-    g: Graph, sources: dict[int, int], radius: int, trace: RoundTrace
-) -> None:
-    """Charge a black vertex's subgraph announcement flooding r hops.
-
-    sources maps each announcing vertex to its payload entry count; every
-    edge within the flooded ball relays the payload once per round.
-    """
-    w = _id_width(g.n)
-    for v, entries in sources.items():
-        payload = 4 + entries * w
-        dist = g.distances_from(v)
-        ball = {u for u, d in enumerate(dist) if 0 <= d <= radius}
-        arcs = sum(
-            2 for a, b in g.edges if a in ball and b in ball
-        )
-        trace.total_bits += arcs * payload * (radius + 1)
-        if payload > trace.max_message_bits:
-            trace.max_message_bits = payload
-    trace.rounds_executed += radius + 1
-
-
-def _ball_optimum(g: Graph, verts, edges, cache) -> tuple[frozenset[int], Fraction]:
+def _ball_optimum(verts, edges):
     """Exact densest subgraph inside one ball, in original vertex ids.
 
     Every ball goes through the certified min-cut oracle. Its witness is a
     deterministic function of the ball (with ties, the minimal min-cut side
     of the last improving test), so equal balls stamp equal sets.
     """
-    key = frozenset(verts)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     pos = {v: i for i, v in enumerate(verts)}
     sub = Graph(len(verts), [(pos[a], pos[b]) for a, b in edges])
     res = oracle.exact_densest(sub)
-    members = frozenset(verts[i] for i in res.best_subset.ids())
-    out = (members, res.value)
-    cache[key] = out
-    return out
+    return (frozenset(verts[i] for i in res.best_subset.ids()),), res.value
+
+
+def _protocol(g: Graph, dtilde, eps, solve, is_active):
+    """The LOCAL protocol both variants run on the (underlying) graph `g`.
+
+    solve(verts, edges) maps a ball to (stamp sets, value); equal balls are
+    solved once. is_active(solution, (1-eps)*dtilde) flags a vertex. Charged
+    phases: (r+1)-round ball gathering, 2r rounds of (id, flag) gossip (after
+    k rounds a vertex has heard of everything within distance k, one entry
+    each), and the winners' stamps flooding r hops, every arc of a black
+    vertex's ball relaying the stamp once per round for r+1 rounds.
+
+    Returns (r, per-vertex solutions, black vertices, trace).
+    """
+    dtilde, eps = Fraction(dtilde), Fraction(eps)
+    if not (0 < eps < 1):
+        raise ValueError("eps must lie in (0, 1)")
+    if dtilde < 0:
+        raise ValueError("dtilde must be non-negative")
+    r = detection_radius(g.n, eps)
+    balls, trace = collect_ball(g, r)
+    threshold = (1 - eps) * dtilde
+    cache: dict = {}
+    best = []
+    for verts, edges in balls:
+        key = frozenset(verts)
+        if key not in cache:
+            cache[key] = solve(verts, edges)
+        best.append(cache[key])
+    active = [is_active(sol, threshold) for sol in best]
+    # one BFS per vertex feeds the gossip charge and the election: black
+    # means active with no smaller active id within 2r
+    reach = 2 * r
+    w = _id_width(g.n) + 1
+    black = []
+    for v in range(g.n):
+        deg = g.degree(v)
+        if deg == 0 and not active[v]:
+            continue
+        dist = g.distances_from(v)
+        if deg:
+            hist = [0] * reach
+            for d in dist:
+                if 0 <= d < reach:
+                    hist[d] += 1
+            known = known_sum = 0
+            for h in hist:
+                known += h
+                known_sum += known
+            trace.total_bits += deg * (4 * reach + w * known_sum)
+            trace.max_message_bits = max(trace.max_message_bits, 4 + known * w)
+        if active[v] and not any(
+            active[u] and 0 <= dist[u] <= reach for u in range(v)
+        ):
+            black.append(v)
+    trace.rounds_executed += reach
+    w = _id_width(g.n)
+    for v in black:
+        payload = 4 + sum(len(s) for s in best[v][0]) * w
+        trace.total_bits += 2 * len(balls[v][1]) * payload * (r + 1)
+        trace.max_message_bits = max(trace.max_message_bits, payload)
+    trace.rounds_executed += r + 1
+    return r, best, black, trace
 
 
 def local_detect(
@@ -158,70 +160,12 @@ def local_detect(
     that dense, which cannot happen for dtilde <= D. Rounds charged:
     (r+1) ball gathering + 2r active-flag gossip + (r+1) winner broadcast.
     """
-    dtilde, eps = Fraction(dtilde), Fraction(eps)
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0, 1)")
-    if dtilde < 0:
-        raise ValueError("dtilde must be non-negative")
-    r = detection_radius(g.n, eps)
-    balls, trace = collect_ball(g, r)
-    threshold = (1 - eps) * dtilde
-    cache: dict = {}
-    best: list[tuple[frozenset[int], Fraction] | None] = [None] * g.n
-    active = [False] * g.n
-    for v in range(g.n):
-        verts, edges = balls[v]
-        members, value = _ball_optimum(g, verts, edges, cache)
-        best[v] = (members, value)
-        active[v] = value >= threshold
-    # active flags travel 2r hops so actives can compare ids
-    _charge_flag_gossip(g, 2 * r, trace)
-    black = []
-    for v in range(g.n):
-        if not active[v]:
-            continue
-        dist = g.distances_from(v)
-        if all(
-            not (active[u] and u < v)
-            for u in range(g.n)
-            if 0 <= dist[u] <= 2 * r
-        ):
-            black.append(v)
-    marked: set[int] = set()
-    sources = {}
-    for v in black:
-        members, _ = best[v]
-        marked |= members
-        sources[v] = len(members)
-    _charge_subset_broadcast(g, sources, r, trace)
-    out = DetectionOutput(Subset(g.n, sorted(marked)), tuple(black), r)
-    return out, trace
-
-
-def _directed_ball_optimum(dg: DirectedGraph, verts, cache):
-    key = frozenset(verts)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if len(verts) > DIRECTED_BALL_CAP:
-        raise ValueError(
-            f"ball of {len(verts)} vertices is too large for the exact "
-            f"directed oracle (cap {DIRECTED_BALL_CAP})"
-        )
-    pos = {v: i for i, v in enumerate(verts)}
-    inside = set(verts)
-    arcs = [
-        (pos[a], pos[b]) for a, b in dg.arcs if a in inside and b in inside
-    ]
-    res = oracle.brute_directed_densest(DirectedGraph(len(verts), arcs))
-    s_loc, t_loc = res.best_subset
-    out = (
-        frozenset(verts[i] for i in s_loc.ids()),
-        frozenset(verts[i] for i in t_loc.ids()),
-        res.value,  # squared density
+    r, best, black, trace = _protocol(
+        g, dtilde, eps, _ball_optimum, lambda sol, thr: sol[1] >= thr
     )
-    cache[key] = out
-    return out
+    marked = Subset(g.n, set().union(*(best[v][0][0] for v in black)))
+    out = DetectionOutput(marked, tuple(black), r)
+    return out, trace
 
 
 def local_detect_directed(
@@ -230,52 +174,34 @@ def local_detect_directed(
     """Directed variant: per-vertex (s, t) tags naming local dense pairs.
 
     Balls are collected over the underlying undirected graph; each black
-    vertex tags the members of its locally optimal (S, T) pair. Pairs of
-    distinct black vertices never merge: far-apart dense pairs would lose
-    density if unioned, so the output stays local by design.
+    vertex tags the members of its locally optimal (S, T) pair, whose value
+    is the squared density. Pairs of distinct black vertices never merge:
+    far-apart dense pairs would lose density if unioned, so the output stays
+    local by design.
     """
-    dtilde, eps = Fraction(dtilde), Fraction(eps)
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0, 1)")
-    if dtilde < 0:
-        raise ValueError("dtilde must be non-negative")
-    und = dg.underlying()
-    r = detection_radius(dg.n, eps)
-    balls, trace = collect_ball(und, r)
-    thr = (1 - eps) * dtilde
-    thr_sq = thr * thr
-    cache: dict = {}
-    best = [None] * dg.n
-    active = [False] * dg.n
-    for v in range(dg.n):
-        verts, _ = balls[v]
-        s_set, t_set, sq = _directed_ball_optimum(dg, verts, cache)
-        best[v] = (s_set, t_set)
-        active[v] = sq >= thr_sq and len(s_set) > 0
-    _charge_flag_gossip(und, 2 * r, trace)
-    black = []
-    for v in range(dg.n):
-        if not active[v]:
-            continue
-        dist = und.distances_from(v)
-        if all(
-            not (active[u] and u < v)
-            for u in range(dg.n)
-            if 0 <= dist[u] <= 2 * r
-        ):
-            black.append(v)
+
+    def solve(verts, _edges):
+        if len(verts) > oracle.BRUTE_DIRECTED_CAP:
+            raise ValueError(
+                f"ball of {len(verts)} vertices is too large for the exact "
+                f"directed oracle (cap {oracle.BRUTE_DIRECTED_CAP})"
+            )
+        pos = {v: i for i, v in enumerate(verts)}
+        arcs = [(pos[a], pos[b]) for a, b in dg.arcs if a in pos and b in pos]
+        res = oracle.brute_directed_densest(DirectedGraph(len(verts), arcs))
+        pair = tuple(frozenset(verts[i] for i in x.ids()) for x in res.best_subset)
+        return pair, res.value
+
+    r, best, black, trace = _protocol(
+        dg.underlying(), dtilde, eps, solve, lambda sol, thr: sol[1] >= thr * thr
+    )
     s_tag = [0] * dg.n
     t_tag = [0] * dg.n
-    sources = {}
     for v in black:
-        s_set, t_set = best[v]
+        s_set, t_set = best[v][0]
         for u in s_set:
             s_tag[u] = v + 1
         for u in t_set:
             t_tag[u] = v + 1
-        sources[v] = len(s_set) + len(t_set)
-    _charge_subset_broadcast(und, sources, r, trace)
-    out = DirectedDetectionOutput(
-        tuple(s_tag), tuple(t_tag), tuple(black), r
-    )
+    out = DirectedDetectionOutput(tuple(s_tag), tuple(t_tag), tuple(black), r)
     return out, trace

@@ -29,8 +29,6 @@ __all__ = [
     "knowledge_states",
     "collect_ball",
     "component_min",
-    "component_or",
-    "component_sum",
     "component_aggregate",
 ]
 
@@ -426,11 +424,3 @@ def _component_diameter(g: Graph, comp: list[int]) -> int:
 
 def component_min(g: Graph, values: Sequence):
     return component_aggregate(g, values, "min")
-
-
-def component_or(g: Graph, values: Sequence):
-    return component_aggregate(g, values, "or")
-
-
-def component_sum(g: Graph, values: Sequence):
-    return component_aggregate(g, values, "sum")

@@ -12,7 +12,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Rational = Fraction
 
@@ -292,10 +292,6 @@ class Subset:
                 raise ValueError(f"vertex {v} out of range for n={n}")
         self.n = n
         self.members = mem
-
-    @classmethod
-    def from_indicator(cls, bits: Sequence[int]) -> "Subset":
-        return cls(len(bits), [i for i, b in enumerate(bits) if b])
 
     def indicator(self) -> tuple[int, ...]:
         return tuple(1 if v in self.members else 0 for v in range(self.n))

@@ -27,6 +27,7 @@ from .engine import (
     RoundTrace,
     SimConfig,
     VertexProgram,
+    _component_diameter,
     msg_bits,
     run,
 )
@@ -75,14 +76,6 @@ class _Budget:
         cz = frac_ceil(z / 2)
         rho = z - 2 * (cz - 1)
         return cls(z, cz, rho.numerator, rho.denominator)
-
-    def grant_value(self, code: int) -> tuple[int, int]:
-        # (a, b) increments meaning a + b*rho
-        if code == 2:
-            return 2, 0
-        if code == 1:
-            return 0, 1
-        return 0, 0
 
 
 class _LoadProgram(VertexProgram):
@@ -284,18 +277,11 @@ class _PrimalDetector:
             mem = set(comp)
             eids = [i for i, (u, v) in enumerate(g.edges) if u in mem]
             self.comp_edges[ci] = eids
-            self.diam[ci] = self._diameter(comp)
+            self.diam[ci] = _component_diameter(g, comp)
             self.prev_lmin[ci] = 0
         self.trace = RoundTrace()
         b = _Budget.for_z(z)
         self.rho_num, self.rho_den = b.rho_num, b.rho_den
-
-    def _diameter(self, comp):
-        best = 0
-        for v in comp:
-            dist = self.g.distances_from(v)
-            best = max(best, max(dist[u] for u in comp))
-        return best
 
     def _charge_rounds(self, rounds: int) -> None:
         self.trace.rounds_executed += rounds

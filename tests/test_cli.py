@@ -184,6 +184,37 @@ class TestCli:
         assert code == 2
         assert "error" in payload
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact"],
+            ["detect-local", "--dtilde", "1", "--eps", "1/2"],
+            ["detect-congest", "--dtilde", "1", "--eps", "1/8"],
+            ["approx", "--eps", "1/8"],
+            ["dual", "--z", "1", "--eps", "1/8"],
+            ["primal", "--z", "1", "--eps", "1/8"],
+            ["orient", "--dtilde", "128", "--eps", "1/4"],
+            ["split", "--eps", "1/2"],
+            ["weak-orient"],
+            ["ldd", "--eps", "1/4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_directed_input_is_an_input_error(self, capsys, tmp_path, argv):
+        p = tmp_path / "d.el"
+        p.write_text("4 3 directed\n0 1\n1 2\n2 3\n", encoding="utf-8")
+        code, payload = run_json(capsys, argv + ["--in", str(p)])
+        assert code == 2
+        assert payload["error"] == "ValueError"
+        assert "'n m directed' header" in payload["message"]
+
+    def test_exact_brute_reads_directed(self, capsys, tmp_path):
+        p = tmp_path / "d.el"
+        p.write_text("3 2 directed\n0 1\n0 2\n", encoding="utf-8")
+        code, payload = run_json(capsys, ["exact", "--in", str(p), "--brute"])
+        assert code == 0
+        assert payload["result"]["D_squared"] == "2/1"
+
     def test_parse_error_reports_line(self, capsys, tmp_path):
         p = tmp_path / "bad.el"
         p.write_text("2 1\n0 0\n", encoding="utf-8")

@@ -145,6 +145,82 @@ class TestLocalDetectDirected:
             local_detect_directed(dg, Fraction(1), Fraction(1, 2))
 
 
+# (graph, dtilde, eps, marked, black, (rounds, max_message_bits, total_bits))
+PINNED = {
+    "cycle20": (
+        cycle(20), Fraction(1), Fraction(1, 5),
+        tuple(range(20)), (0,), (722, 332, 6_147_040),
+    ),
+    "planted30": (
+        planted_dense(30, 5, seed=1), Fraction(2), Fraction(1, 4),
+        (2, 3, 8, 20, 25), (0,), (658, 652, 15_047_146),
+    ),
+    "barbell5_3": (
+        barbell(5, 3), Fraction(2), Fraction(1, 2),
+        (0, 1, 2, 3, 4, 7, 8, 9, 10, 11), (0,), (242, 380, 1_867_868),
+    ),
+    "triangle_isolated": (
+        Graph(6, [(0, 1), (1, 2), (0, 2)]), Fraction(1), Fraction(1, 2),
+        (0, 1, 2), (0,), (178, 60, 39_924),
+    ),
+}
+
+MIXED = DirectedGraph(
+    9, [(0, 1), (0, 2), (0, 3), (4, 3), (5, 6), (6, 7), (7, 5), (8, 7)]
+)
+
+
+def counting_bfs(monkeypatch):
+    calls = []
+    original = Graph.distances_from
+
+    def counted(self, src):
+        calls.append(src)
+        return original(self, src)
+
+    monkeypatch.setattr(Graph, "distances_from", counted)
+    return calls
+
+
+class TestPinnedTraces:
+    """Outputs and charged costs are fixed; a refactor must keep them."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_local_detect(self, name):
+        g, dtilde, eps, marked, black, cost = PINNED[name]
+        out, trace = local_detect(g, dtilde, eps)
+        assert out.marked.ids() == marked
+        assert out.black == black
+        assert (
+            trace.rounds_executed, trace.max_message_bits, trace.total_bits
+        ) == cost
+        assert trace.violations == []
+
+    def test_local_detect_directed(self):
+        out, trace = local_detect_directed(MIXED, Fraction(1), Fraction(1, 3))
+        assert out.black == (0, 5)
+        assert out.s_tag == (1, 0, 0, 0, 0, 0, 6, 0, 6)
+        assert out.t_tag == (0, 1, 1, 1, 0, 0, 0, 6, 0)
+        assert out.radius == 80
+        assert (
+            trace.rounds_executed, trace.max_message_bits, trace.total_bits
+        ) == (322, 76, 252_590)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_at_most_two_bfs_per_vertex(self, monkeypatch, name):
+        # one BFS gathers the ball, one feeds both the gossip charge and
+        # the election; the winner broadcast reuses the gathered ball
+        g, dtilde, eps = PINNED[name][:3]
+        calls = counting_bfs(monkeypatch)
+        local_detect(g, dtilde, eps)
+        assert len(calls) <= 2 * g.n
+
+    def test_directed_at_most_two_bfs_per_vertex(self, monkeypatch):
+        calls = counting_bfs(monkeypatch)
+        local_detect_directed(MIXED, Fraction(1), Fraction(1, 3))
+        assert len(calls) <= 2 * MIXED.n
+
+
 class TestRadius:
     def test_formula(self):
         import math

@@ -7,9 +7,8 @@ from densub.engine import (
     SimConfig,
     VertexProgram,
     collect_ball,
+    component_aggregate,
     component_min,
-    component_or,
-    component_sum,
     knowledge_states,
     merge_sequential,
     msg_bits,
@@ -192,8 +191,8 @@ class TestComponentAggregates:
 
     def test_or_and_sum(self):
         g = path(4)
-        assert component_or(g, [0, 0, 1, 0])[0] == [True] * 4
-        assert component_sum(g, [1, 2, 3, 4])[0] == [10] * 4
+        assert component_aggregate(g, [0, 0, 1, 0], "or")[0] == [True] * 4
+        assert component_aggregate(g, [1, 2, 3, 4], "sum")[0] == [10] * 4
 
 
 class TestRoundTrace:
