@@ -145,21 +145,12 @@ def cmd_exact(args) -> int:
             "S": list(s.ids()),
             "T": list(t.ids()),
         }
-    else:
-        result = {
-            "D": format_ratio(res.value),
-            "witness": list(res.best_subset.ids()),
-        }
-    payload = {
-        "command": " ".join(sys.argv[1:]),
-        "graph": {"n": g.n, "m": g.m},
-        "result": result,
-        "check": None,
-        "trace": None,
-        "wall_time_s": round(time.time() - t0, 3),
+        return _report(args, g, result, None, None, t0)
+    result = {
+        "D": format_ratio(res.value),
+        "witness": list(res.best_subset.ids()),
     }
-    _emit(args, payload)
-    return 0
+    return _report(args, g, result, None, None, t0, res.value)
 
 
 def cmd_detect_local(args) -> int:

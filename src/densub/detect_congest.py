@@ -79,16 +79,13 @@ def congest_detect(
         clustering, ldd_trace = ldd_traced(
             g, eps / 2, trial_seed, cap_bits=cap
         )
-        trace = ldd_trace.merged_after(trace)
+        trace.then(ldd_trace)
         # cluster-local OR over marked bits: up+down a BFS tree whose depth
-        # is bounded by the clustering budget
-        or_rounds = 4 * clustering.budget + 2
-        or_trace = RoundTrace(rounds_executed=or_rounds)
+        # is bounded by the clustering budget, one 8-bit word each way
         cluster_map = clustering.clusters()
-        for members in cluster_map.values():
-            or_trace.total_bits += (len(members) - 1) * 2 * 8
-        or_trace.max_message_bits = 8 if g.m else 0
-        trace = or_trace.merged_after(trace)
+        trace.rounds_executed += 4 * clustering.budget + 2
+        if g.m:
+            trace.charge(8, 2 * (g.n - len(cluster_map)))
         cluster_traces = []
         for center in sorted(cluster_map):
             members = cluster_map[center]
@@ -110,7 +107,7 @@ def congest_detect(
                 for i in got.ids():
                     marked[old_ids[i]] = True
         if cluster_traces:
-            trace = merge_parallel(cluster_traces).merged_after(trace)
+            trace.then(merge_parallel(cluster_traces))
     out = Subset(g.n, [v for v in range(g.n) if marked[v]])
     return out, trace
 

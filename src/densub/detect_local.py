@@ -40,10 +40,6 @@ class DetectionOutput:
     black: tuple[int, ...]
     radius: int
 
-    @property
-    def h(self) -> tuple[int, ...]:
-        return self.marked.indicator()
-
     def to_json(self, g: Graph, rounds: int) -> dict:
         dens = (
             format_ratio(density(g, self.marked)) if len(self.marked) else None
@@ -136,7 +132,7 @@ def _protocol(g: Graph, dtilde, eps, solve, is_active):
                 known += h
                 known_sum += known
             trace.total_bits += deg * (4 * reach + w * known_sum)
-            trace.max_message_bits = max(trace.max_message_bits, 4 + known * w)
+            trace.charge(4 + known * w, 0)
         if active[v] and not any(
             active[u] and 0 <= dist[u] <= reach for u in range(v)
         ):
@@ -145,8 +141,7 @@ def _protocol(g: Graph, dtilde, eps, solve, is_active):
     w = _id_width(g.n)
     for v in black:
         payload = 4 + sum(len(s) for s in best[v][0]) * w
-        trace.total_bits += 2 * len(balls[v][1]) * payload * (r + 1)
-        trace.max_message_bits = max(trace.max_message_bits, payload)
+        trace.charge(payload, 2 * len(balls[v][1]) * (r + 1))
     trace.rounds_executed += r + 1
     return r, best, black, trace
 

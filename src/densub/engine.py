@@ -85,24 +85,36 @@ class RoundTrace:
             "violations": [list(v) for v in self.violations],
         }
 
-    def merged_after(self, prior: "RoundTrace") -> "RoundTrace":
-        """This trace re-based to start after `prior` finished (sequential)."""
-        return RoundTrace(
-            rounds_executed=prior.rounds_executed + self.rounds_executed,
-            max_message_bits=max(prior.max_message_bits, self.max_message_bits),
-            total_bits=prior.total_bits + self.total_bits,
-            violations=prior.violations
-            + [
-                (r + prior.rounds_executed, e, b)
-                for (r, e, b) in self.violations
-            ],
-        )
+    def charge(self, bits: int, copies: int = 1) -> None:
+        """Account `copies` messages of `bits` bits each.
+
+        The max is raised even when no copy is sent, so an idle charged
+        phase still reports the width its words would have.
+        """
+        self.total_bits += bits * copies
+        if bits > self.max_message_bits:
+            self.max_message_bits = bits
+
+    def then(self, later: "RoundTrace", relay: int = 1) -> None:
+        """Append `later` to this trace in place (sequential composition).
+
+        `later`'s violations are re-based after this trace's rounds; its
+        rounds and bits count `relay` times, once per real round of a
+        virtual round relayed along paths.
+        """
+        self.violations += [
+            (r + self.rounds_executed, e, b) for (r, e, b) in later.violations
+        ]
+        self.rounds_executed += later.rounds_executed * relay
+        self.total_bits += later.total_bits * relay
+        if later.max_message_bits > self.max_message_bits:
+            self.max_message_bits = later.max_message_bits
 
 
 def merge_sequential(traces: Sequence[RoundTrace]) -> RoundTrace:
     out = RoundTrace()
     for t in traces:
-        out = t.merged_after(out)
+        out.then(t)
     return out
 
 
@@ -111,7 +123,7 @@ def merge_parallel(traces: Sequence[RoundTrace]) -> RoundTrace:
     out = RoundTrace()
     for t in traces:
         out.rounds_executed = max(out.rounds_executed, t.rounds_executed)
-        out.max_message_bits = max(out.max_message_bits, t.max_message_bits)
+        out.charge(t.max_message_bits, 0)
         out.total_bits += t.total_bits
         out.violations += t.violations
     out.violations.sort()
@@ -373,9 +385,7 @@ def collect_ball(g: Graph, r: int, cfg: SimConfig | None = None):
             known += h
             known_sum += known
         trace.total_bits += deg * ((r + 1) * (4 + w) + 2 * w * known_sum)
-        payload = 4 + w + 2 * w * known
-        if payload > trace.max_message_bits:
-            trace.max_message_bits = payload
+        trace.charge(4 + w + 2 * w * known, 0)
     return balls, trace
 
 
@@ -409,8 +419,7 @@ def component_aggregate(g: Graph, values: Sequence, op: str):
         trace.rounds_executed = max(trace.rounds_executed, 2 * diam + 2)
         tree_edges = len(comp) - 1
         up = msg_bits(int(agg) if isinstance(agg, bool) else agg)
-        trace.total_bits += tree_edges * 2 * up
-        trace.max_message_bits = max(trace.max_message_bits, up)
+        trace.charge(up, 2 * tree_edges)
     return result, trace
 
 

@@ -293,9 +293,6 @@ class Subset:
         self.n = n
         self.members = mem
 
-    def indicator(self) -> tuple[int, ...]:
-        return tuple(1 if v in self.members else 0 for v in range(self.n))
-
     def ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 

@@ -145,9 +145,6 @@ class _LoadProgram(VertexProgram):
         outbox = {incident[i]: code for i, code in codes.items()}
         return state, outbox, False
 
-    def output(self, ctx, state):
-        return state
-
 
 @dataclass
 class DualSolution:
@@ -265,7 +262,9 @@ class _PrimalDetector:
         self.z = z
         self.eps = eps
         self.cap = cap
-        self.cz = _Budget.for_z(z).cz
+        b = _Budget.for_z(z)
+        self.cz = b.cz
+        self.rho_num, self.rho_den = b.rho_num, b.rho_den
         thr = (1 - 3 * eps) * z
         self.thr_num = thr.numerator
         self.thr_den = thr.denominator
@@ -280,17 +279,10 @@ class _PrimalDetector:
             self.diam[ci] = _component_diameter(g, comp)
             self.prev_lmin[ci] = 0
         self.trace = RoundTrace()
-        b = _Budget.for_z(z)
-        self.rho_num, self.rho_den = b.rho_num, b.rho_den
-
-    def _charge_rounds(self, rounds: int) -> None:
-        self.trace.rounds_executed += rounds
 
     def _charge_word(self, value: int, copies: int) -> None:
         bits = msg_bits(value)
-        self.trace.total_bits += bits * copies
-        if bits > self.trace.max_message_bits:
-            self.trace.max_message_bits = bits
+        self.trace.charge(bits, copies)
         if bits > self.cap and copies > 0:
             self.trace.violations.append(
                 (self.trace.rounds_executed + 1, -1, bits)
@@ -321,7 +313,7 @@ class _PrimalDetector:
                     floor_max = fl
             l_max = l_min + load_range_bound(len(eids), self.eps)
             ceils.sort()
-            #毎 vertex joins V' once it has cz incident edges at or below l
+            # a vertex joins V' once it has cz incident edges at or below l
             cnt = {v: 0 for v in comp}
             inside: set[int] = set()
             e_inside = 0
@@ -363,7 +355,7 @@ class _PrimalDetector:
                 rounds_ci += diam + 1
                 self._charge_word(win[0] - l_min, tree_edges)
             round_cost = max(round_cost, rounds_ci)
-        self._charge_rounds(round_cost)
+        self.trace.rounds_executed += round_cost
         return winners
 
 
@@ -417,14 +409,13 @@ def integral_primal(
         return False
 
     _, trace = run(g, _LoadProgram(budget, T), cfg, round_hook=hook)
-    total = trace.merged_after(RoundTrace())
-    total = detector.trace.merged_after(total)
+    trace.then(detector.trace)
     if not found:
-        return None, total
+        return None, trace
     members: set[int] = set()
     for _l, ids in found.values():
         members.update(ids)
-    return Subset(g.n, sorted(members)), total
+    return Subset(g.n, sorted(members)), trace
 
 
 def alpha_bit_width(sol: DualSolution) -> int:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import RoundTrace, msg_bits
-from .graphs import Graph, ceil_log2, format_ratio, frac_ceil, is_neg_pow2
+from .graphs import Graph, ceil_log2, frac_ceil, is_neg_pow2
 from .mwu import (
     alpha_bit_width,
     alpha_fraction_bits,
@@ -131,34 +131,11 @@ class PathDecomposition:
 
 
 @dataclass
-class _Charge:
-    """Round/bit account for the relay protocols the splitters stand for."""
-
-    rounds: int = 0
-    total_bits: int = 0
-    max_bits: int = 0
-
-    def words(self, value: int, copies: int, relay: int = 1) -> None:
-        bits = msg_bits(value)
-        self.total_bits += bits * copies * relay
-        if bits > self.max_bits:
-            self.max_bits = bits
-
-    def inflate(self, other: "_Charge", relay: int) -> None:
-        self.rounds += other.rounds * relay
-        self.total_bits += other.total_bits * relay
-        self.max_bits = max(self.max_bits, other.max_bits)
-
-    def as_trace(self) -> RoundTrace:
-        return RoundTrace(self.rounds, self.max_bits, self.total_bits, [])
-
-
-@dataclass
 class WeakOrientationResult:
     head: list[int]  # per edge: 1 orients toward the second stored endpoint
     phases: int
     sink_history: list[int]  # sink count entering each phase
-    charge: _Charge
+    charge: RoundTrace
 
 
 def _weak_orient_edges(
@@ -208,7 +185,7 @@ def _weak_orient_edges(
 
     if phase_budget is None:
         phase_budget = 8 * max(max(n, 2) - 1, 1).bit_length()
-    charge = _Charge()
+    trace = RoundTrace()
     sink_history: list[int] = []
     sinks = [c for c in range(num_copies) if is_sink(c)]
     phases = 0
@@ -285,12 +262,13 @@ def _weak_orient_edges(
             )
         # four relay sub-phases (wave, report, designate, accept+flip),
         # each padded to the deepest wave of this phase
-        charge.rounds += 4 * layer + 2
-        charge.words(num_copies - 1, wave_messages)  # copy-id wave words
-        charge.words(layer, path_len_total)  # report words
-        charge.words(num_copies - 1, 2 * path_len_total)  # designate+accept
+        trace.rounds_executed += 4 * layer + 2
+        copy_bits = msg_bits(num_copies - 1)
+        trace.charge(copy_bits, wave_messages)  # copy-id wave words
+        trace.charge(msg_bits(layer), path_len_total)  # report words
+        trace.charge(copy_bits, 2 * path_len_total)  # designate+accept
         sinks = new_sinks
-    return WeakOrientationResult(head, phases, sink_history, charge)
+    return WeakOrientationResult(head, phases, sink_history, trace)
 
 
 def weak_orientation_detailed(g: Graph) -> WeakOrientationResult:
@@ -308,7 +286,7 @@ def weak_orientation(g: Graph) -> tuple[Orientation, int]:
 
 def _decompose_edges(
     n: int, edges: list[tuple[int, int]], levels: int
-) -> tuple[list[list[int]], _Charge]:
+) -> tuple[list[list[int]], RoundTrace]:
     """Boosted path decomposition of an edge list.
 
     Returns vertex sequences covering every input edge exactly once, with
@@ -317,7 +295,7 @@ def _decompose_edges(
     """
     paths: list[list[int]] = [[u, v] for (u, v) in edges]
     cycles: list[list[int]] = []
-    charge = _Charge()
+    trace = RoundTrace()
     max_len = 1
     for level in range(levels):
         open_idx = [i for i, p in enumerate(paths) if p[0] != p[-1]]
@@ -325,7 +303,7 @@ def _decompose_edges(
         if not virt_edges:
             break
         res = _weak_orient_edges(n, virt_edges)
-        charge.inflate(res.charge, max_len + 1)
+        trace.then(res.charge, max_len + 1)
         out_at: dict[int, list[int]] = {}
         for k, (a, b) in enumerate(virt_edges):
             tail = a if res.head[k] == 1 else b
@@ -350,10 +328,10 @@ def _decompose_edges(
             if i not in merged and p[0] != p[-1]:
                 new_paths.append(p)
         # reversals and appends are coordinated along the paths themselves
-        charge.rounds += max_len + 1
+        trace.rounds_executed += max_len + 1
         paths = new_paths
         max_len = min(2 * max_len, max((len(p) - 1 for p in paths), default=1))
-    return paths + cycles, charge
+    return paths + cycles, trace
 
 
 def path_decompose(g: Graph, levels: int) -> PathDecomposition:
@@ -379,7 +357,7 @@ def split_levels(eps: Fraction) -> int:
 
 def _split_edge_list(
     n: int, edges: list[tuple[int, int]], eps: Fraction
-) -> tuple[list[int], _Charge]:
+) -> tuple[list[int], RoundTrace]:
     """Directions with per-vertex |out - in| <= eps*deg + 12.
 
     head[e] = 1 orients edges[e] from its first stored endpoint to its
@@ -387,7 +365,7 @@ def _split_edge_list(
     comes only from path ends.
     """
     levels = split_levels(eps)
-    paths, charge = _decompose_edges(n, edges, levels)
+    paths, trace = _decompose_edges(n, edges, levels)
     remaining: dict[tuple[int, int], list[int]] = {}
     for eid, (u, v) in enumerate(edges):
         remaining.setdefault((u, v) if u < v else (v, u), []).append(eid)
@@ -397,8 +375,8 @@ def _split_edge_list(
             key = (a, b) if a < b else (b, a)
             eid = remaining[key].pop()
             head[eid] = 1 if (edges[eid][0], edges[eid][1]) == (a, b) else 0
-    charge.rounds += 1  # announcing the final direction of each edge
-    return head, charge
+    trace.rounds_executed += 1  # announcing the final direction of each edge
+    return head, trace
 
 
 def directed_split(g: Graph, eps: Fraction) -> Orientation:
@@ -424,15 +402,6 @@ class OrientReport:
     fraction_bits: int
     iterations: list[IterationRecord] = field(default_factory=list)
     guaranteed_bound: Fraction | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "max_outdeg": self.orientation.max_outdeg(),
-            "bound": format_ratio(self.guaranteed_bound)
-            if self.guaranteed_bound is not None
-            else None,
-            "rounds": self.trace.rounds_executed,
-        }
 
 
 def orient_low_outdegree_detailed(
@@ -497,9 +466,13 @@ def orient_low_outdegree_detailed(
                         nu[eid] -= bit
                     if bv:
                         nv[eid] -= bit
+            # one bit-exchange round precedes the split every iteration
+            trace.rounds_executed += 1
+            trace.charge(8, 2 * g.m)
             if in_split:
                 sub_edges = [g.edges[eid] for eid in in_split]
-                heads, charge = _split_edge_list(g.n, sub_edges, eps3)
+                heads, split_trace = _split_edge_list(g.n, sub_edges, eps3)
+                trace.then(split_trace)
                 for pos, eid in enumerate(in_split):
                     if heads[pos]:
                         # tail = stored first endpoint = min id = u side
@@ -508,14 +481,6 @@ def orient_low_outdegree_detailed(
                     else:
                         nv[eid] += bit
                         nu[eid] -= bit
-                step = charge.as_trace()
-            else:
-                step = RoundTrace()
-            # one bit-exchange round precedes the split every iteration
-            step.rounds_executed += 1
-            step.total_bits += 2 * g.m * 8
-            step.max_message_bits = max(step.max_message_bits, 8)
-            trace = step.merged_after(trace)
             bound = (1 + eps3) * bound + Fraction(12, 1 << (t - k + 1))
             min_cover = min(
                 Fraction(nu[eid] + nv[eid], scale) for eid in range(g.m)
@@ -546,8 +511,8 @@ def orient_low_outdegree_detailed(
             dir_bits.append(0)
         else:
             dir_bits.append(1)  # both at 1: orient toward the larger id
-    final = RoundTrace(rounds_executed=1, max_message_bits=8, total_bits=8 * g.m)
-    trace = final.merged_after(trace)
+    trace.rounds_executed += 1
+    trace.charge(8, g.m)
     orientation = Orientation(g.n, g.edges, tuple(dir_bits))
     return OrientReport(
         orientation, trace, sol.feasible, frac_bits, records, bound

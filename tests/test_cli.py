@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from densub import oracle
 from densub.cli import main
 from densub.graphs import Graph, complete, cycle, write_edge_list
 
@@ -27,11 +28,23 @@ def run_json(capsys, argv):
 
 
 class TestCli:
-    def test_exact_k5(self, capsys, k5_file):
+    def test_exact_k5(self, capsys, k5_file, monkeypatch):
+        calls = []
+        real = oracle.exact_densest
+
+        def spy(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(oracle, "exact_densest", spy)
         code, payload = run_json(capsys, ["exact", "--in", k5_file])
         assert code == 0
         assert payload["result"]["D"] == "2/1"
         assert payload["result"]["witness"] == [0, 1, 2, 3, 4]
+        assert payload["graph"] == {
+            "n": 5, "m": 10, "max_degree": 4, "oracle_density": "2/1"
+        }
+        assert calls == [5]  # the report reuses D; the oracle runs once
 
     def test_exact_path_square_3000(self, capsys, tmp_path):
         # deep flow paths once overflowed a recursive max-flow search
@@ -214,6 +227,7 @@ class TestCli:
         code, payload = run_json(capsys, ["exact", "--in", str(p), "--brute"])
         assert code == 0
         assert payload["result"]["D_squared"] == "2/1"
+        assert payload["graph"] == {"n": 3, "m": 2}
 
     def test_parse_error_reports_line(self, capsys, tmp_path):
         p = tmp_path / "bad.el"

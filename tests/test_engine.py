@@ -205,6 +205,28 @@ class TestRoundTrace:
         assert m.total_bits == 150
         assert m.violations == [(2, 0, 12), (6, 1, 25)]
 
+    def test_charge_zero_copies_raises_max_only(self):
+        t = RoundTrace(2, 8, 40, [])
+        t.charge(12, 0)
+        assert (t.max_message_bits, t.total_bits) == (12, 40)
+        t.charge(9, 3)
+        assert (t.max_message_bits, t.total_bits) == (12, 67)
+
+    def test_then_offsets_violations(self):
+        t = RoundTrace(4, 10, 100, [(3, 0, 12)])
+        t.then(RoundTrace(2, 6, 30, [(1, 5, 16), (2, -1, 9)]))
+        assert t.rounds_executed == 6
+        assert t.max_message_bits == 10
+        assert t.total_bits == 130
+        assert t.violations == [(3, 0, 12), (5, 5, 16), (6, -1, 9)]
+
+    def test_then_relay_scales_rounds_and_bits_not_max(self):
+        t = RoundTrace(1, 8, 10, [])
+        t.then(RoundTrace(3, 9, 20, []), relay=4)
+        assert t.rounds_executed == 13
+        assert t.max_message_bits == 9
+        assert t.total_bits == 90
+
     def test_json_shape(self):
         t = RoundTrace(1, 2, 3, [])
         assert t.to_json() == {
