@@ -24,6 +24,7 @@ from .graphs import (
     DirectedDensity,
     DirectedGraph,
     Graph,
+    Orientation,
     Rational,
     Subset,
     density,
@@ -47,7 +48,6 @@ from .oracle import (
     min_max_outdegree,
 )
 from .orient import (
-    Orientation,
     PathDecomposition,
     directed_split,
     orient_low_outdegree,

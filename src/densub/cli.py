@@ -477,11 +477,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_approx)
 
+    T_help = (
+        "MWU iterations, one engine round each; default: the theory-grade "
+        "ceil((8/eps^2) ln n) rounded up to a power of 2, at eps/16 for "
+        "orient (2^20 rounds for n = 257 at eps 1/8: over 8 minutes)"
+    )
     sp = sub.add_parser("dual", help="fractional orientation LP solver")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--z", required=True)
     sp.add_argument("--eps", required=True)
-    sp.add_argument("--T", type=int, default=None)
+    sp.add_argument("--T", type=int, default=None, help=T_help)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_dual)
 
@@ -489,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--z", required=True)
     sp.add_argument("--eps", required=True)
-    sp.add_argument("--T", type=int, default=None)
+    sp.add_argument("--T", type=int, default=None, help=T_help)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_primal)
 
@@ -497,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--dtilde", type=int, required=True)
     sp.add_argument("--eps", required=True)
-    sp.add_argument("--T", type=int, default=None)
+    sp.add_argument("--T", type=int, default=None, help=T_help)
     sp.add_argument("--out", default=None)
     sp.add_argument("--orient-out", default=None)
     sp.set_defaults(func=cmd_orient)

@@ -21,6 +21,7 @@ __all__ = [
     "Graph",
     "DirectedGraph",
     "Subset",
+    "Orientation",
     "DirectedDensity",
     "EdgeListError",
     "density",
@@ -28,7 +29,6 @@ __all__ = [
     "parse_ratio",
     "format_ratio",
     "frac_ceil",
-    "frac_floor",
     "ceil_log2",
     "is_neg_pow2",
     "generate",
@@ -60,11 +60,6 @@ def frac_ceil(q: Fraction | int) -> int:
     return -((-q.numerator) // q.denominator)
 
 
-def frac_floor(q: Fraction | int) -> int:
-    q = Fraction(q)
-    return q.numerator // q.denominator
-
-
 def ceil_log2(q: Fraction | int) -> int:
     """Smallest k with 2**k >= q, for q > 0. Exact integer arithmetic."""
     q = Fraction(q)
@@ -91,7 +86,7 @@ class Graph:
     Degree-0 vertices are allowed.
     """
 
-    __slots__ = ("n", "edges", "adj", "_nbrs", "_edge_index")
+    __slots__ = ("n", "edges", "adj", "_nbrs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -119,7 +114,6 @@ class Graph:
         # adjacency lists are sorted by edge id (construction order is sorted)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
         self._nbrs: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in nbrs)
-        self._edge_index = {e: i for i, e in enumerate(self.edges)}
 
     @property
     def m(self) -> int:
@@ -143,12 +137,6 @@ class Graph:
     def other(self, eid: int, v: int) -> int:
         u, w = self.edges[eid]
         return w if v == u else u
-
-    def edge_id(self, u: int, v: int) -> int:
-        return self._edge_index[(u, v) if u < v else (v, u)]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edge_index
 
     def distances_from(self, src: int) -> list[int]:
         """BFS distances from src; -1 for unreachable vertices."""
@@ -222,7 +210,7 @@ class DirectedGraph:
     along an arc, so locality is measured on the underlying undirected graph.
     """
 
-    __slots__ = ("n", "arcs", "out_adj", "in_adj", "_arc_set")
+    __slots__ = ("n", "arcs", "out_adj", "in_adj")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -247,14 +235,10 @@ class DirectedGraph:
             in_adj[v].append(aid)
         self.out_adj = tuple(tuple(a) for a in out_adj)
         self.in_adj = tuple(tuple(a) for a in in_adj)
-        self._arc_set = frozenset(self.arcs)
 
     @property
     def m(self) -> int:
         return len(self.arcs)
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self._arc_set
 
     def underlying(self) -> Graph:
         """Undirected graph ignoring arc directions (opposite arcs merge)."""
@@ -314,6 +298,45 @@ class Subset:
 
     def __repr__(self) -> str:
         return f"Subset(n={self.n}, ids={sorted(self.members)})"
+
+
+@dataclass(frozen=True)
+class Orientation:
+    """One direction per edge of an edge list.
+
+    The list is a Graph's canonical edges or a splitter's multigraph list,
+    whose pairs may repeat or be stored larger-first. dir_bits[e] = 1 points
+    edge e at edges[e][1], 0 at edges[e][0].
+    """
+
+    n: int
+    edges: tuple[tuple[int, int], ...]
+    dir_bits: tuple[int, ...]
+
+    def tail_of(self, eid: int) -> int:
+        u, v = self.edges[eid]
+        return u if self.dir_bits[eid] else v
+
+    def outdegs(self) -> list[int]:
+        out = [0] * self.n
+        for (u, v), bit in zip(self.edges, self.dir_bits):
+            out[u if bit else v] += 1
+        return out
+
+    def indegs(self) -> list[int]:
+        ind = [0] * self.n
+        for (u, v), bit in zip(self.edges, self.dir_bits):
+            ind[v if bit else u] += 1
+        return ind
+
+    def max_outdeg(self) -> int:
+        return max(self.outdegs(), default=0)
+
+    def to_text(self) -> str:
+        lines = []
+        for (u, v), bit in zip(self.edges, self.dir_bits):
+            lines.append(f"{u} {v} {'->' if bit else '<-'}")
+        return "\n".join(lines) + ("\n" if lines else "")
 
 
 def density(g: Graph, s: Subset) -> Fraction:

@@ -4,7 +4,8 @@ Two independent routes to the maximum subgraph density: an exhaustive search
 over vertex subsets (small graphs) and Dinkelbach's iteration over
 Goldberg's min-cut test, whose answer carries a checked certificate. A
 brute-force directed densest-pair solver and the minimum achievable
-max-outdegree round this out.
+max-outdegree, with a witness orientation read off one integral max flow,
+round this out.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import DirectedGraph, Graph, Subset
+from .graphs import DirectedGraph, Graph, Orientation, Subset
 
 __all__ = [
     "OracleResult",
@@ -374,62 +375,45 @@ def brute_directed_densest(g: DirectedGraph) -> OracleResult:
     return OracleResult(best_pair, best_sq, "brute")
 
 
-def witness_orientation(g: Graph, alpha: int) -> list[int] | None:
-    """An orientation with max outdegree <= alpha, or None if impossible.
+def witness_orientation(g: Graph, alpha: int) -> Orientation | None:
+    """An orientation with max outdegree <= alpha, or None if none exists.
 
-    Repeatedly reverses a directed path from an overloaded vertex to one
-    with spare capacity; such a path always exists while alpha >= ceil(D).
-    Returns head[] per edge id (the endpoint the edge points at).
+    One integral max flow: every edge starts pointing at its larger
+    endpoint, the source feeds each vertex its excess out - alpha, the sink
+    drains its spare alpha - out, and each edge (u, v) is a unit arc u->v
+    whose flow moves one outdegree from u to v by flipping the edge. Some
+    orientation fits under alpha iff the flow carries the whole excess.
     """
-    head = [v for (_, v) in g.edges]  # start toward the larger id
-    outdeg = [0] * g.n
-    for eid, (u, v) in enumerate(g.edges):
-        outdeg[u if head[eid] == v else v] += 1
-    overloaded = deque(v for v in range(g.n) if outdeg[v] > alpha)
-    while overloaded:
-        v = overloaded.popleft()
-        if outdeg[v] <= alpha:
-            continue
-        # BFS along current out-edges to a vertex with outdeg < alpha
-        parent_edge: dict[int, int] = {v: -1}
-        q = deque([v])
-        target = -1
-        while q and target < 0:
-            x = q.popleft()
-            for eid in g.adj[x]:
-                if head[eid] == x:
-                    continue  # not an out-edge of x
-                y = head[eid]
-                if y in parent_edge:
-                    continue
-                parent_edge[y] = eid
-                if outdeg[y] < alpha:
-                    target = y
-                    break
-                q.append(y)
-        if target < 0:
-            return None
-        # reverse the path v -> ... -> target
-        y = target
-        while y != v:
-            eid = parent_edge[y]
-            x = g.other(eid, y)
-            head[eid] = x
-            y = x
-        outdeg[v] -= 1
-        outdeg[target] += 1
-        if outdeg[v] > alpha:
-            overloaded.append(v)
-    return head
+    out = [0] * g.n
+    for u, _ in g.edges:
+        out[u] += 1
+    net = _Dinic(g.n + 2)
+    src, snk = g.n, g.n + 1
+    for u, v in g.edges:  # edge e's arc u->v is arc 2e
+        net.add_edge(u, v, 1)
+    excess = 0
+    for v in range(g.n):
+        if out[v] > alpha:
+            net.add_edge(src, v, out[v] - alpha)
+            excess += out[v] - alpha
+        elif out[v] < alpha:
+            net.add_edge(v, snk, alpha - out[v])
+    if net.max_flow(src, snk) < excess:
+        return None
+    # a saturated arc (residual 0) is a flipped edge, now pointing at u
+    o = Orientation(g.n, g.edges, tuple(net.cap[0 : 2 * g.m : 2]))
+    if o.max_outdeg() > alpha:
+        raise AssertionError("witness orientation: an outdegree exceeds alpha")
+    return o
 
 
-def min_max_outdegree(g: Graph) -> tuple[int, list[int]]:
-    """ceil(D) together with an orientation achieving it as head[] per edge."""
+def min_max_outdegree(g: Graph) -> tuple[int, Orientation]:
+    """ceil(D) together with an orientation achieving it."""
     if g.m == 0:
-        return 0, []
+        return 0, Orientation(g.n, g.edges, ())
     d = exact_densest(g).value
     alpha = -((-d.numerator) // d.denominator)  # ceil(D)
-    head = witness_orientation(g, alpha)
-    if head is None:
+    o = witness_orientation(g, alpha)
+    if o is None:
         raise AssertionError("an orientation at ceil(D) must exist")
-    return alpha, head
+    return alpha, o

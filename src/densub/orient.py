@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import RoundTrace, msg_bits
-from .graphs import Graph, ceil_log2, frac_ceil, is_neg_pow2
+from .graphs import Graph, Orientation, ceil_log2, frac_ceil, is_neg_pow2
 from .mwu import (
     alpha_bit_width,
     alpha_fraction_bits,
@@ -59,48 +59,6 @@ __all__ = [
     "orient_low_outdegree_detailed",
     "OrientReport",
 ]
-
-
-@dataclass(frozen=True)
-class Orientation:
-    """One direction per canonical edge of a Graph.
-
-    dir_bits[e] = 1 orients edge e toward its larger endpoint.
-    """
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    dir_bits: tuple[int, ...]
-
-    def head_of(self, eid: int) -> int:
-        u, v = self.edges[eid]
-        return v if self.dir_bits[eid] else u
-
-    def tail_of(self, eid: int) -> int:
-        u, v = self.edges[eid]
-        return u if self.dir_bits[eid] else v
-
-    def outdegs(self) -> list[int]:
-        out = [0] * self.n
-        for eid in range(len(self.edges)):
-            out[self.tail_of(eid)] += 1
-        return out
-
-    def indegs(self) -> list[int]:
-        ind = [0] * self.n
-        for eid in range(len(self.edges)):
-            ind[self.head_of(eid)] += 1
-        return ind
-
-    def max_outdeg(self) -> int:
-        return max(self.outdegs(), default=0)
-
-    def to_text(self) -> str:
-        lines = []
-        for eid, (u, v) in enumerate(self.edges):
-            arrow = "->" if self.dir_bits[eid] else "<-"
-            lines.append(f"{u} {v} {arrow}")
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 @dataclass(frozen=True)
@@ -132,7 +90,7 @@ class PathDecomposition:
 
 @dataclass
 class WeakOrientationResult:
-    head: list[int]  # per edge: 1 orients toward the second stored endpoint
+    orientation: Orientation
     phases: int
     sink_history: list[int]  # sink count entering each phase
     charge: RoundTrace
@@ -143,8 +101,8 @@ def _weak_orient_edges(
 ) -> WeakOrientationResult:
     """Sinkless orientation of the degree-3 split multigraph.
 
-    Works on an arbitrary multigraph without self-loops. head[e] = 1
-    orients edge e from edges[e][0] toward edges[e][1].
+    Works on an arbitrary multigraph without self-loops; the orientation
+    is over `edges` as given.
     """
     m = len(edges)
     head = [1 if v > u else 0 for (u, v) in edges]
@@ -268,7 +226,8 @@ def _weak_orient_edges(
         trace.charge(msg_bits(layer), path_len_total)  # report words
         trace.charge(copy_bits, 2 * path_len_total)  # designate+accept
         sinks = new_sinks
-    return WeakOrientationResult(head, phases, sink_history, trace)
+    orientation = Orientation(n, tuple(edges), tuple(head))
+    return WeakOrientationResult(orientation, phases, sink_history, trace)
 
 
 def weak_orientation_detailed(g: Graph) -> WeakOrientationResult:
@@ -278,10 +237,7 @@ def weak_orientation_detailed(g: Graph) -> WeakOrientationResult:
 def weak_orientation(g: Graph) -> tuple[Orientation, int]:
     """Orientation with outdeg(v) >= floor(deg(v)/3) for every vertex."""
     res = weak_orientation_detailed(g)
-    return (
-        Orientation(g.n, g.edges, tuple(res.head)),
-        res.phases,
-    )
+    return res.orientation, res.phases
 
 
 def _decompose_edges(
@@ -305,9 +261,8 @@ def _decompose_edges(
         res = _weak_orient_edges(n, virt_edges)
         trace.then(res.charge, max_len + 1)
         out_at: dict[int, list[int]] = {}
-        for k, (a, b) in enumerate(virt_edges):
-            tail = a if res.head[k] == 1 else b
-            out_at.setdefault(tail, []).append(k)
+        for k in range(len(virt_edges)):
+            out_at.setdefault(res.orientation.tail_of(k), []).append(k)
         merged: set[int] = set()
         new_paths: list[list[int]] = []
         for u in sorted(out_at):
@@ -357,32 +312,31 @@ def split_levels(eps: Fraction) -> int:
 
 def _split_edge_list(
     n: int, edges: list[tuple[int, int]], eps: Fraction
-) -> tuple[list[int], RoundTrace]:
+) -> tuple[Orientation, RoundTrace]:
     """Directions with per-vertex |out - in| <= eps*deg + 12.
 
-    head[e] = 1 orients edges[e] from its first stored endpoint to its
-    second. Paths are oriented along their traversal; a vertex's imbalance
-    comes only from path ends.
+    The orientation is over `edges` as given, a multigraph list. Paths are
+    oriented along their traversal; a vertex's imbalance comes only from
+    path ends.
     """
     levels = split_levels(eps)
     paths, trace = _decompose_edges(n, edges, levels)
     remaining: dict[tuple[int, int], list[int]] = {}
     for eid, (u, v) in enumerate(edges):
         remaining.setdefault((u, v) if u < v else (v, u), []).append(eid)
-    head = [0] * len(edges)
+    dir_bits = [0] * len(edges)
     for p in paths:
         for a, b in zip(p, p[1:]):
             key = (a, b) if a < b else (b, a)
             eid = remaining[key].pop()
-            head[eid] = 1 if (edges[eid][0], edges[eid][1]) == (a, b) else 0
+            dir_bits[eid] = 1 if (edges[eid][0], edges[eid][1]) == (a, b) else 0
     trace.rounds_executed += 1  # announcing the final direction of each edge
-    return head, trace
+    return Orientation(n, tuple(edges), tuple(dir_bits)), trace
 
 
 def directed_split(g: Graph, eps: Fraction) -> Orientation:
     """Orientation with |outdeg(v) - indeg(v)| <= eps*deg(v) + 12."""
-    head, _ = _split_edge_list(g.n, list(g.edges), Fraction(eps))
-    return Orientation(g.n, g.edges, tuple(head))
+    return _split_edge_list(g.n, list(g.edges), Fraction(eps))[0]
 
 
 @dataclass
@@ -398,7 +352,6 @@ class IterationRecord:
 class OrientReport:
     orientation: Orientation
     trace: RoundTrace
-    dual_feasible: bool
     fraction_bits: int
     iterations: list[IterationRecord] = field(default_factory=list)
     guaranteed_bound: Fraction | None = None
@@ -426,7 +379,7 @@ def orient_low_outdegree_detailed(
         raise ValueError("need 32/dtilde <= eps <= 1/4")
     if g.m == 0:
         o = Orientation(g.n, g.edges, ())
-        return OrientReport(o, RoundTrace(), True, 0, [], Fraction(dtilde))
+        return OrientReport(o, RoundTrace(), 0, [], Fraction(dtilde))
     eps1 = eps / 8
     eps2 = eps / 8
     eps_dual = eps1 / 2
@@ -471,10 +424,10 @@ def orient_low_outdegree_detailed(
             trace.charge(8, 2 * g.m)
             if in_split:
                 sub_edges = [g.edges[eid] for eid in in_split]
-                heads, split_trace = _split_edge_list(g.n, sub_edges, eps3)
+                split, split_trace = _split_edge_list(g.n, sub_edges, eps3)
                 trace.then(split_trace)
                 for pos, eid in enumerate(in_split):
-                    if heads[pos]:
+                    if split.dir_bits[pos]:
                         # tail = stored first endpoint = min id = u side
                         nu[eid] += bit
                         nv[eid] -= bit
@@ -514,9 +467,7 @@ def orient_low_outdegree_detailed(
     trace.rounds_executed += 1
     trace.charge(8, g.m)
     orientation = Orientation(g.n, g.edges, tuple(dir_bits))
-    return OrientReport(
-        orientation, trace, sol.feasible, frac_bits, records, bound
-    )
+    return OrientReport(orientation, trace, frac_bits, records, bound)
 
 
 def orient_low_outdegree(

@@ -42,7 +42,7 @@ def _weak_g40():
 
 
 def _split_g40():
-    _heads, trace = _split_edge_list(G40.n, list(G40.edges), Fraction(1, 8))
+    _o, trace = _split_edge_list(G40.n, list(G40.edges), Fraction(1, 8))
     return trace
 
 

@@ -9,6 +9,7 @@ from densub.graphs import (
     DirectedGraph,
     EdgeListError,
     Graph,
+    Orientation,
     Subset,
     barbell,
     ceil_log2,
@@ -147,6 +148,19 @@ class TestDirectedDensity:
         assert d.meets(3)
         assert d.meets(Fraction(27, 10))
         assert not d.meets(Fraction(31, 10))
+
+
+class TestOrientation:
+    def test_multigraph_edge_list(self):
+        # a parallel pair (0, 1) twice, and (2, 1) stored larger-first: bit 1
+        # points an edge at its second listed endpoint, whatever the order
+        edges = ((0, 1), (0, 1), (2, 1), (0, 2))
+        o = Orientation(3, edges, (1, 0, 1, 0))
+        assert [o.tail_of(e) for e in range(4)] == [0, 1, 2, 2]
+        assert o.outdegs() == [1, 1, 2]
+        assert o.indegs() == [2, 2, 0]
+        assert o.max_outdeg() == 2
+        assert o.to_text() == "0 1 ->\n0 1 <-\n2 1 ->\n0 2 <-\n"
 
 
 class TestGenerators:

@@ -7,6 +7,8 @@ import pytest
 from densub.graphs import Graph, complete, cycle, erdos_renyi, path
 from densub.orient import (
     Orientation,
+    _split_edge_list,
+    _weak_orient_edges,
     directed_split,
     orient_low_outdegree,
     orient_low_outdegree_detailed,
@@ -150,6 +152,19 @@ class TestDirectedSplit:
                 outs, ins = o.outdegs(), o.indegs()
                 for v in range(g.n):
                     assert abs(outs[v] - ins[v]) <= eps * g.degree(v) + 12
+
+    def test_multigraph_edge_list(self):
+        # K51 with every pair listed twice, the second copy larger-first, as
+        # the decomposition hands its virtual multigraphs to the splitters
+        edges = [e for u, v in complete(51).edges for e in ((u, v), (v, u))]
+        eps = Fraction(1, 4)
+        weak = _weak_orient_edges(51, edges).orientation
+        split, _ = _split_edge_list(51, edges, eps)
+        for o in (weak, split):
+            assert isinstance(o, Orientation) and o.edges == tuple(edges)
+        assert all(d >= 100 // 3 for d in weak.outdegs())
+        outs, ins = split.outdegs(), split.indegs()
+        assert all(abs(a - b) <= eps * 100 + 12 for a, b in zip(outs, ins))
 
     def test_split_levels(self):
         assert split_levels(Fraction(1, 4)) == 4  # (2/3)^4 = 16/81 <= 1/4
