@@ -59,12 +59,11 @@ class _ClusterRace(VertexProgram):
     def step(self, ctx, state, rnd, inbox):
         if state["center"] >= 0:
             return state, {}, True
-        candidates = sorted(inbox.values())
-        if rnd >= state["wake"]:
-            candidates.append(ctx.vertex)
-        if not candidates:
+        center = min(inbox.values(), default=None)
+        if rnd >= state["wake"] and (center is None or ctx.vertex < center):
+            center = ctx.vertex
+        if center is None:
             return state, {}, False
-        center = min(candidates)
         state = {"wake": state["wake"], "center": center}
         return state, {e: center for e in ctx.incident}, True
 

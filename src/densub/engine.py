@@ -217,9 +217,11 @@ def run(
 ):
     """Execute synchronized rounds until every vertex halts.
 
-    Returns (outputs, RoundTrace). `schedule` permutes the order vertices
-    are stepped within a round; results are identical for any schedule
-    because all inboxes of a round are materialized before any step runs.
+    The run ends in the round the last vertex halts; mail still addressed
+    to halted vertices is dropped. Returns (outputs, RoundTrace).
+    `schedule` permutes the order vertices are stepped within a round;
+    results are identical for any schedule because all inboxes of a round
+    are materialized before any step runs.
     `round_hook(rnd, states)`, if given, runs after each round and may
     return True to stop the simulation (used by globally-coordinated
     algorithms whose aggregation rounds are charged separately).
@@ -246,55 +248,57 @@ def run(
     elif schedule != "forward":
         raise ValueError(f"unknown schedule {schedule!r}")
 
+    edges = g.edges
+    violations = trace.violations
+    total = widest = 0
+    live = n
     rnd = 0
-    while rnd < cfg.max_rounds:
+    while live:
+        if rnd == cfg.max_rounds:
+            raise MaxRoundsExceeded(
+                f"no global halt within {cfg.max_rounds} rounds"
+            )
         rnd += 1
-        any_live_delivery = any(
-            inboxes[v] is not None and not halted[v] for v in range(n)
-        )
-        if all(halted):
-            rnd -= 1
-            break
         next_inboxes: list[dict | None] = [None] * n
-        stepped = False
         for v in order:
             if halted[v]:
                 continue
-            stepped = True
-            inbox = inboxes[v] or {}
             states[v], outbox, is_halted = program.step(
-                ctxs[v], states[v], rnd, inbox
+                ctxs[v], states[v], rnd, inboxes[v] or {}
             )
-            halted[v] = bool(is_halted)
+            if is_halted:
+                halted[v] = True
+                live -= 1
             if not outbox:
                 continue
             for eid, m in outbox.items():
-                bits = msg_bits(m)
-                if congest:
-                    if bits > cap:
-                        if strict:
-                            raise CongestViolation(rnd, eid, bits, cap)
-                        trace.violations.append((rnd, eid, bits))
-                trace.total_bits += bits
-                if bits > trace.max_message_bits:
-                    trace.max_message_bits = bits
-                dest = g.other(eid, v)
+                # ints (not bools) are sized inline by msg_bits' own rule
+                if type(m) is int:
+                    bits = (m if m >= 0 else ~m).bit_length() + 1
+                    if bits < 8:
+                        bits = 8
+                else:
+                    bits = msg_bits(m)
+                if congest and bits > cap:
+                    if strict:
+                        raise CongestViolation(rnd, eid, bits, cap)
+                    violations.append((rnd, eid, bits))
+                total += bits
+                if bits > widest:
+                    widest = bits
+                a, b = edges[eid]
+                dest = b if a == v else a
                 box = next_inboxes[dest]
                 if box is None:
-                    box = {}
-                    next_inboxes[dest] = box
-                box[eid] = m
-        if stepped or any_live_delivery:
-            trace.rounds_executed = rnd
+                    next_inboxes[dest] = {eid: m}
+                else:
+                    box[eid] = m
         inboxes = next_inboxes
         if round_hook is not None and round_hook(rnd, states):
             break
-        if all(halted) and all(b is None for b in next_inboxes):
-            break
-    else:
-        raise MaxRoundsExceeded(
-            f"no global halt within {cfg.max_rounds} rounds"
-        )
+    trace.rounds_executed = rnd
+    trace.total_bits = total
+    trace.max_message_bits = widest
     trace.violations.sort()
     outputs = [program.output(ctxs[v], states[v]) for v in range(n)]
     return outputs, trace

@@ -134,10 +134,6 @@ class Graph:
     def endpoints(self, eid: int) -> tuple[int, int]:
         return self.edges[eid]
 
-    def other(self, eid: int, v: int) -> int:
-        u, w = self.edges[eid]
-        return w if v == u else u
-
     def distances_from(self, src: int) -> list[int]:
         """BFS distances from src; -1 for unreachable vertices."""
         dist = [-1] * self.n

@@ -92,57 +92,56 @@ class _LoadProgram(VertexProgram):
             "lb": [0] * deg,  # load rho-multiples per incident position
             "ca": [0] * deg,  # cumulative own grants, integer part
             "cb": [0] * deg,  # cumulative own grants, rho-multiples
-            "pend": None,  # codes granted this round, applied next round
+            # grant order: (la*q + lb*p) * deg + i per position i; adjacency
+            # is sorted by edge id, so ties break by edge id
+            "key": list(range(deg)),
+            "pend": None,  # (positions granted 2, position granted 1 or -1)
             "pos": {eid: i for i, eid in enumerate(ctx.incident)},
         }
 
-    def _grants(self, ctx, state) -> dict[int, int]:
-        """Codes for this iteration: 2 for the lightest cz-1, 1 for the next."""
-        b = self.b
-        la, lb = state["la"], state["lb"]
-        p, q = b.rho_num, b.rho_den
-        incident = ctx.incident
-        keyed = sorted(
-            (la[i] * q + lb[i] * p, incident[i], i) for i in range(len(la))
-        )
-        codes: dict[int, int] = {}
-        twos = min(b.cz - 1, len(la))
-        for j in range(twos):
-            codes[keyed[j][2]] = 2
-        if len(la) >= b.cz:
-            codes[keyed[b.cz - 1][2]] = 1
-        return codes
-
     def step(self, ctx, state, rnd, inbox):
-        la, lb = state["la"], state["lb"]
+        b = self.b
+        la, lb, key = state["la"], state["lb"], state["key"]
+        deg = len(la)
+        up2, up1 = 2 * b.rho_den * deg, b.rho_num * deg
         pend = state["pend"]
         if pend is not None:
             # apply iteration rnd-1: own grants plus partner codes
+            twos, one = pend
+            for i in twos:
+                la[i] += 2
+                key[i] += up2
+            if one >= 0:
+                lb[one] += 1
+                key[one] += up1
             pos_of = state["pos"]
-            for i, code in pend.items():
-                if code == 2:
-                    la[i] += 2
-                else:
-                    lb[i] += 1
             for eid, code in inbox.items():
                 i = pos_of[eid]
                 if code == 2:
                     la[i] += 2
+                    key[i] += up2
                 else:
                     lb[i] += 1
+                    key[i] += up1
         if rnd > self.T:
             state["pend"] = None
             return state, {}, True
-        codes = self._grants(ctx, state)
+        # codes for this iteration: 2 for the lightest cz-1, 1 for the next
+        cz = b.cz
+        keys = sorted(key)
         ca, cb = state["ca"], state["cb"]
-        for i, code in codes.items():
-            if code == 2:
-                ca[i] += 2
-            else:
-                cb[i] += 1
-        state["pend"] = codes
         incident = ctx.incident
-        outbox = {incident[i]: code for i, code in codes.items()}
+        outbox = {}
+        twos = [k % deg for k in keys[: cz - 1]]
+        for i in twos:
+            ca[i] += 2
+            outbox[incident[i]] = 2
+        one = -1
+        if deg >= cz:
+            one = keys[cz - 1] % deg
+            cb[one] += 1
+            outbox[incident[one]] = 1
+        state["pend"] = (twos, one)
         return state, outbox, False
 
 
@@ -189,26 +188,32 @@ def _assemble_dual(
     g: Graph, outs, z: Fraction, eps: Fraction, T: int
 ) -> DualSolution:
     budget = _Budget.for_z(z)
-    rho = Fraction(budget.rho_num, budget.rho_den)
+    p, q = budget.rho_num, budget.rho_den
     scale = 1 + 2 * eps
+    # grant totals t = ca*q + cb*p count units of 1/q over T iterations,
+    # so alpha = t * scale / (q*T); equal totals share one Fraction
+    num, den = scale.numerator, q * T * scale.denominator
     alpha: dict[tuple[int, int], Fraction] = {}
+    values: dict[int, Fraction] = {}
+    edge_t = [0] * g.m
+    vertex_ok = True
     for v in range(g.n):
-        st = outs[v]
+        ca, cb = outs[v]["ca"], outs[v]["cb"]
+        vertex_t = 0
         for i, eid in enumerate(g.adj[v]):
-            total = st["ca"][i] + st["cb"][i] * rho
-            alpha[(eid, v)] = total / T * scale
-    feasible = True
-    for eid, (u, v) in enumerate(g.edges):
-        if alpha[(eid, u)] + alpha[(eid, v)] < 1:
-            feasible = False
-            break
-    if feasible:
-        cap = scale * z
-        for v in range(g.n):
-            if sum(alpha[(eid, v)] for eid in g.adj[v]) > cap:
-                feasible = False
-                break
-    width = max((_numeric_width(a) for a in alpha.values()), default=1)
+            t = ca[i] * q + cb[i] * p
+            a = values.get(t)
+            if a is None:
+                a = values[t] = Fraction(t * num, den)
+            alpha[(eid, v)] = a
+            edge_t[eid] += t
+            vertex_t += t
+        # sum alpha <= scale * z  <=>  vertex_t <= z * q * T
+        if vertex_t * z.denominator > z.numerator * q * T:
+            vertex_ok = False
+    # alpha_u + alpha_v >= 1  <=>  (t_u + t_v) * num >= den
+    feasible = vertex_ok and all(t * num >= den for t in edge_t)
+    width = max((_numeric_width(a) for a in values.values()), default=1)
     views = tuple(
         (tuple(outs[v]["la"]), tuple(outs[v]["lb"])) for v in range(g.n)
     )
@@ -260,7 +265,6 @@ class _PrimalDetector:
     def __init__(self, g: Graph, z: Fraction, eps: Fraction, cap: int):
         self.g = g
         self.z = z
-        self.eps = eps
         self.cap = cap
         b = _Budget.for_z(z)
         self.cz = b.cz
@@ -271,11 +275,13 @@ class _PrimalDetector:
         self.comps = [c for c in g.components()]
         self.diam = {}
         self.comp_edges = {}
+        self.load_range = {}
         self.prev_lmin = {}
         for ci, comp in enumerate(self.comps):
             mem = set(comp)
             eids = [i for i, (u, v) in enumerate(g.edges) if u in mem]
             self.comp_edges[ci] = eids
+            self.load_range[ci] = load_range_bound(len(eids), eps)
             self.diam[ci] = _component_diameter(g, comp)
             self.prev_lmin[ci] = 0
         self.trace = RoundTrace()
@@ -311,7 +317,7 @@ class _PrimalDetector:
                     l_min = fl
                 if fl > floor_max:
                     floor_max = fl
-            l_max = l_min + load_range_bound(len(eids), self.eps)
+            l_max = l_min + self.load_range[ci]
             ceils.sort()
             # a vertex joins V' once it has cz incident edges at or below l
             cnt = {v: 0 for v in comp}
@@ -389,19 +395,19 @@ def integral_primal(
     detector = _PrimalDetector(g, z, eps, cap)
     found: dict = {}
 
-    eid_pos = [{} for _ in range(g.n)]
-    for v in range(g.n):
-        for i, eid in enumerate(g.adj[v]):
-            eid_pos[v][eid] = i
+    # each edge's load is read at its smaller endpoint, at its position there
+    edge_at = [(0, 0)] * g.m
+    for u, incident in enumerate(g.adj):
+        for i, eid in enumerate(incident):
+            if g.edges[eid][0] == u:
+                edge_at[eid] = (u, i)
 
     def hook(rnd: int, states) -> bool:
         if rnd > T:
             return False
-        loads = [(0, 0)] * g.m
-        for eid, (u, _v) in enumerate(g.edges):
-            st = states[u]
-            i = eid_pos[u][eid]
-            loads[eid] = (st["la"][i], st["lb"][i])
+        la = [st["la"] for st in states]
+        lb = [st["lb"] for st in states]
+        loads = [(la[u][i], lb[u][i]) for u, i in edge_at]
         winners = detector.scan(loads)
         if winners:
             found.update(winners)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import RoundTrace, msg_bits
-from .graphs import Graph, Orientation, ceil_log2, frac_ceil, is_neg_pow2
+from .graphs import Graph, Orientation, ceil_log2, is_neg_pow2
 from .mwu import (
     alpha_bit_width,
     alpha_fraction_bits,
@@ -400,8 +400,9 @@ def orient_low_outdegree_detailed(
     nu = [0] * g.m
     nv = [0] * g.m
     for eid, (u, v) in enumerate(g.edges):
-        nu[eid] = frac_ceil(sol.alpha[(eid, u)] * scale)
-        nv[eid] = frac_ceil(sol.alpha[(eid, v)] * scale)
+        au, av = sol.alpha[(eid, u)], sol.alpha[(eid, v)]
+        nu[eid] = -(-au.numerator * scale // au.denominator)
+        nv[eid] = -(-av.numerator * scale // av.denominator)
     records: list[IterationRecord] = []
     bound = (1 + eps1) * (1 + eps2) * dtilde
     if t > 0:
@@ -435,9 +436,7 @@ def orient_low_outdegree_detailed(
                         nv[eid] += bit
                         nu[eid] -= bit
             bound = (1 + eps3) * bound + Fraction(12, 1 << (t - k + 1))
-            min_cover = min(
-                Fraction(nu[eid] + nv[eid], scale) for eid in range(g.m)
-            )
+            min_cover = Fraction(min(a + b for a, b in zip(nu, nv)), scale)
             sums = [0] * g.n
             for eid, (u, v) in enumerate(g.edges):
                 sums[u] += nu[eid]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densub.engine import (
     CongestViolation,
@@ -116,12 +118,75 @@ class TestRun:
         with pytest.raises(MaxRoundsExceeded):
             run(path(3), Never(), SimConfig(max_rounds=10))
 
+    def test_last_vertex_halting_in_the_last_allowed_round(self):
+        # vertex 9 halts in round 10 with its echo to vertex 8 still queued
+        _, trace = run(path(10), Flood(2**30), SimConfig(max_rounds=10))
+        assert trace.rounds_executed == 10
+
+    def test_one_round_short_still_raises(self):
+        with pytest.raises(MaxRoundsExceeded):
+            run(path(10), Flood(2**30), SimConfig(max_rounds=9))
+
+    def test_empty_graph_runs_no_rounds(self):
+        outs, trace = run(Graph(0, []), HaltImmediately(), SimConfig())
+        assert outs == []
+        assert trace.rounds_executed == 0
+
     def test_total_bits_sums_each_message_once(self):
         # round 1: 0 sends the token; round 2: 1 echoes it back while
         # halting. Two 8-bit messages, each charged exactly once.
         outs, trace = run(path(2), Flood(1), SimConfig())
         assert trace.total_bits == 16
         assert trace.max_message_bits == 8
+
+
+class SendOnce(VertexProgram):
+    """Vertex 0 sends one message over its first edge; everyone halts."""
+
+    def __init__(self, message):
+        self.message = message
+
+    def init(self, ctx):
+        return None
+
+    def step(self, ctx, state, rnd, inbox):
+        if ctx.vertex == 0:
+            return state, {ctx.incident[0]: self.message}, True
+        return state, {}, True
+
+
+# the engine sizes top-level ints itself, so they are drawn often, with
+# the width boundaries -2^k-1, -2^k, 2^k-1, 2^k and the 8-bit floor on purpose
+INTS = (
+    st.integers(-(2**200), 2**200)
+    | st.integers(-300, 300)
+    | st.builds(
+        lambda k, d: (1 << k) * (1 if d < 2 else -1) - d % 2,
+        st.integers(0, 199),
+        st.integers(0, 3),
+    )
+)
+MESSAGES = INTS | st.recursive(
+    INTS | st.booleans() | st.binary(min_size=1),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=8,
+)
+
+
+class TestRunBitAccounting:
+    @given(MESSAGES)
+    @settings(max_examples=200, deadline=None)
+    def test_one_message_costs_msg_bits(self, m):
+        _, trace = run(path(2), SendOnce(m), SimConfig())
+        assert trace.total_bits == trace.max_message_bits == msg_bits(m)
+
+    @given(MESSAGES)
+    @settings(max_examples=200, deadline=None)
+    def test_strict_violation_reports_msg_bits(self, m):
+        cfg = SimConfig(model="CONGEST", cap_bits=msg_bits(m) - 1)
+        with pytest.raises(CongestViolation) as exc:
+            run(path(2), SendOnce(m), cfg)
+        assert exc.value.bits == msg_bits(m)
 
 
 class TestCollectBall:

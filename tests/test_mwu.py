@@ -112,6 +112,44 @@ class TestFractionalDual:
         with pytest.raises(ValueError):
             fractional_dual(complete(3), Fraction(1), Fraction(1, 2))
 
+    def test_feasible_flag_matches_fraction_recomputation(self):
+        # the flag is decided on integer grant totals; recompute it from
+        # the reported alpha in plain Fractions, on sweeps that reach the
+        # boundary cases alpha_u + alpha_v == 1 and sum == (1+2*eps)*z
+        cases = []
+        zs = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 2)]
+        zs += [2, Fraction(5, 2), 3, 4]
+        for g in (Graph(2, [(0, 1)]), cycle(5), complete(4), complete(5)):
+            for z in zs:
+                for T in (1, 2, 4, 8):
+                    cases.append((g, Fraction(z), T))
+        for n in range(14, 26):
+            g = erdos_renyi(n, 0.45, seed=n)
+            d = exact_densest(g).value
+            above = Fraction(d.numerator // d.denominator + 1)
+            for z in (d / 2, d, d * Fraction(9, 8), above):
+                for T in (2, 4, 16, 64):
+                    cases.append((g, z, T))
+        tight_edges = feasible_tight_edges = tight_vertices = 0
+        for g, z, T in cases:
+            for eps in (Fraction(1, 4), Fraction(1, 8)):
+                sol, _ = fractional_dual(g, z, eps, T_override=T)
+                assert sol.feasible == dual_feasible_for(sol, g, z)
+                tight = any(
+                    sol.alpha[(eid, u)] + sol.alpha[(eid, v)] == 1
+                    for eid, (u, v) in enumerate(g.edges)
+                )
+                tight_edges += tight
+                feasible_tight_edges += sol.feasible and tight
+                cap = (1 + 2 * eps) * z
+                tight_vertices += sol.feasible and any(
+                    sum(sol.alpha[(eid, u)] for eid in g.adj[u]) == cap
+                    for u in range(g.n)
+                )
+        assert tight_edges >= 1
+        assert feasible_tight_edges >= 1  # path(2) at z = 1/3, eps = 1/4
+        assert tight_vertices >= 1
+
     def test_json_round_shape(self):
         g = Graph(2, [(0, 1)])
         sol, _ = fractional_dual(g, Fraction(1), Fraction(1, 8), T_override=8)
