@@ -3,14 +3,12 @@
 Every subcommand emits one JSON report (stdout or --out) shaped as
 {command, graph, result, check, trace, wall_time_s}; exact quantities are
 "p/q" strings, never JSON numbers. The exit code is 0 iff every guarantee
-check in the run passed. `bench` instead writes a CSV scaling table.
+check in the run passed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
@@ -350,89 +348,6 @@ def cmd_ldd(args) -> int:
     return _report(args, g, result, check, trace, t0)
 
 
-def _bench_rows(suite: str):
-    if suite == "ldd":
-        for n in (32, 64, 128):
-            for eps in (Fraction(1, 2), Fraction(1, 4)):
-                for seed in range(3):
-                    g = G.erdos_renyi(n, 0.1, seed=seed)
-                    clustering, trace = ldd_traced(g, eps, seed)
-                    yield {
-                        "algorithm": "ldd",
-                        "n": n,
-                        "eps": format_ratio(eps),
-                        "seed": seed,
-                        "rounds": trace.rounds_executed,
-                        "max_message_bits": trace.max_message_bits,
-                        "pass": True,
-                    }
-    elif suite == "dual":
-        for n in (16, 32, 64):
-            for eps in (Fraction(1, 8), Fraction(1, 16)):
-                g = G.erdos_renyi(n, 0.4, seed=n)
-                d = oracle.exact_densest(g).value
-                z = Fraction(G.frac_ceil(d))
-                sol, trace = mwu.fractional_dual(g, z, eps, T_override=256)
-                yield {
-                    "algorithm": "dual",
-                    "n": n,
-                    "eps": format_ratio(eps),
-                    "seed": n,
-                    "rounds": trace.rounds_executed,
-                    "max_message_bits": trace.max_message_bits,
-                    "pass": sol.feasible,
-                }
-    elif suite == "detect-congest":
-        for n in (16, 24, 32):
-            for seed in range(2):
-                g = G.planted_dense(n, 5, seed=seed)
-                d = oracle.exact_densest(g).value
-                eps = Fraction(1, 8)
-                sub, trace = dc.congest_detect(g, d, eps, seed)
-                ok = len(sub) > 0 and density(g, sub) >= (1 - eps) * d
-                yield {
-                    "algorithm": "detect-congest",
-                    "n": n,
-                    "eps": format_ratio(eps),
-                    "seed": seed,
-                    "rounds": trace.rounds_executed,
-                    "max_message_bits": trace.max_message_bits,
-                    "pass": ok,
-                }
-    else:
-        raise SystemExit(
-            f"unknown suite {suite!r}; options: ldd, dual, detect-congest"
-        )
-
-
-def cmd_bench(args) -> int:
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf,
-        fieldnames=[
-            "algorithm",
-            "n",
-            "eps",
-            "seed",
-            "rounds",
-            "max_message_bits",
-            "pass",
-        ],
-    )
-    writer.writeheader()
-    all_ok = True
-    for row in _bench_rows(args.suite):
-        all_ok = all_ok and row["pass"]
-        writer.writerow(row)
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0 if all_ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="densub",
@@ -526,11 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_ldd)
-
-    sp = sub.add_parser("bench", help="deterministic scaling tables (CSV)")
-    sp.add_argument("--suite", required=True)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_bench)
 
     return p
 

@@ -10,6 +10,7 @@ fixed protocol they stand for (see the respective docstrings).
 
 from __future__ import annotations
 
+import heapq
 import os
 import random as _random
 from dataclasses import dataclass, field
@@ -191,11 +192,16 @@ class VertexContext:
 
 
 class VertexProgram:
-    """Behavior contract: init/step/output.
+    """Behavior contract: init/step/output, and optionally idle_until.
 
     step receives the inbox as a dict keyed by incident edge id and returns
     (state, outbox, halted) with the outbox in the same keying; a halted
     vertex is never stepped again, though its final outbox is delivered.
+
+    A program may also define `idle_until(state) -> int`, the first round
+    in which the vertex must be stepped even with an empty inbox. Stepping
+    it earlier without mail must leave the state unchanged, send nothing
+    and not halt; `run` then skips those steps.
     """
 
     def init(self, ctx: VertexContext):
@@ -225,6 +231,11 @@ def run(
     `round_hook(rnd, states)`, if given, runs after each round and may
     return True to stop the simulation (used by globally-coordinated
     algorithms whose aggregation rounds are charged separately).
+    If the program defines `idle_until`, a round steps only the vertices
+    with mail and those whose wake round has come; with no mail in
+    flight and no hook, the run skips ahead to the earliest wake round.
+    Rounds, bits and outputs are those of stepping every vertex in every
+    round.
     """
     if cfg.max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -248,19 +259,42 @@ def run(
     elif schedule != "forward":
         raise ValueError(f"unknown schedule {schedule!r}")
 
+    idle = getattr(program, "idle_until", None)
+    if idle is not None:
+        rank = {v: i for i, v in enumerate(order)}.get
+        # every live vertex is filed in `wakes` under sleep[v], the round
+        # it is next stepped in without mail; entries whose round no
+        # longer matches sleep[v] are stale
+        sleep = [max(idle(st), 1) for st in states]
+        wakes = [(w, v) for v, w in enumerate(sleep)]
+        heapq.heapify(wakes)
+    mailed: list[int] = []  # vertices with mail for the coming round
+
     edges = g.edges
     violations = trace.violations
     total = widest = 0
     live = n
     rnd = 0
     while live:
+        if idle is not None and not (mailed or round_hook):
+            rnd = min(wakes[0][0] - 1, cfg.max_rounds)
         if rnd == cfg.max_rounds:
             raise MaxRoundsExceeded(
                 f"no global halt within {cfg.max_rounds} rounds"
             )
         rnd += 1
+        if idle is None:
+            todo = order
+        else:
+            due = set(mailed)
+            while wakes and wakes[0][0] <= rnd:
+                w, v = heapq.heappop(wakes)
+                if sleep[v] == w:
+                    due.add(v)
+            todo = sorted(due, key=rank)
+        mailed = []
         next_inboxes: list[dict | None] = [None] * n
-        for v in order:
+        for v in todo:
             if halted[v]:
                 continue
             states[v], outbox, is_halted = program.step(
@@ -269,6 +303,9 @@ def run(
             if is_halted:
                 halted[v] = True
                 live -= 1
+            elif idle is not None:
+                sleep[v] = max(idle(states[v]), rnd + 1)
+                heapq.heappush(wakes, (sleep[v], v))
             if not outbox:
                 continue
             for eid, m in outbox.items():
@@ -291,6 +328,7 @@ def run(
                 box = next_inboxes[dest]
                 if box is None:
                     next_inboxes[dest] = {eid: m}
+                    mailed.append(dest)
                 else:
                     box[eid] = m
         inboxes = next_inboxes
@@ -428,11 +466,26 @@ def component_aggregate(g: Graph, values: Sequence, op: str):
 
 
 def _component_diameter(g: Graph, comp: list[int]) -> int:
-    best = 0
-    for v in comp:
-        dist = g.distances_from(v)
-        best = max(best, max(dist[u] for u in comp))
-    return best
+    """Exact diameter of the connected component `comp`.
+
+    All-sources BFS on bitsets: after d steps, reach[i] holds the vertices
+    within distance d of comp[i], the OR of its neighbours' sets after d-1
+    steps; the diameter is the first d at which every set is full.
+    """
+    local = {v: i for i, v in enumerate(comp)}
+    nbrs = [[local[u] for u in g.neighbors(v)] for v in comp]
+    full = (1 << len(comp)) - 1
+    reach = [1 << i for i in range(len(comp))]
+    d = 0
+    while any(r != full for r in reach):
+        nxt = []
+        for r, ns in zip(reach, nbrs):
+            for u in ns:
+                r |= reach[u]
+            nxt.append(r)
+        reach = nxt
+        d += 1
+    return d
 
 
 def component_min(g: Graph, values: Sequence):

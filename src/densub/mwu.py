@@ -28,7 +28,6 @@ from .engine import (
     SimConfig,
     VertexProgram,
     _component_diameter,
-    msg_bits,
     run,
 )
 from .graphs import Graph, Subset, ceil_log2, format_ratio, frac_ceil, is_neg_pow2
@@ -263,90 +262,116 @@ class _PrimalDetector:
     """
 
     def __init__(self, g: Graph, z: Fraction, eps: Fraction, cap: int):
-        self.g = g
-        self.z = z
         self.cap = cap
         b = _Budget.for_z(z)
         self.cz = b.cz
-        self.rho_num, self.rho_den = b.rho_num, b.rho_den
         thr = (1 - 3 * eps) * z
         self.thr_num = thr.numerator
         self.thr_den = thr.denominator
-        self.comps = [c for c in g.components()]
-        self.diam = {}
-        self.comp_edges = {}
-        self.load_range = {}
-        self.prev_lmin = {}
-        for ci, comp in enumerate(self.comps):
-            mem = set(comp)
-            eids = [i for i, (u, v) in enumerate(g.edges) if u in mem]
-            self.comp_edges[ci] = eids
-            self.load_range[ci] = load_range_bound(len(eids), eps)
-            self.diam[ci] = _component_diameter(g, comp)
-            self.prev_lmin[ci] = 0
+        comps = g.components()
+        comp_of = [0] * g.n
+        local = [0] * g.n
+        for ci, comp in enumerate(comps):
+            for x, v in enumerate(comp):
+                comp_of[v] = ci
+                local[v] = x
+        # per component, in edge-id order: where each edge's load is read
+        # (its smaller endpoint u, at its position i there) and its local
+        # endpoints; adjacency is sorted by edge id, so i counts u's
+        # earlier edges
+        at: list[list[tuple[int, int]]] = [[] for _ in comps]
+        ends: list[list[tuple[int, int]]] = [[] for _ in comps]
+        seen = [0] * g.n
+        for u, v in g.edges:
+            ci = comp_of[u]
+            at[ci].append((u, seen[u]))
+            ends[ci].append((local[u], local[v]))
+            seen[u] += 1
+            seen[v] += 1
+        self.parts = []
+        load_range: dict[int, int] = {}  # by edge count
+        for ci, comp in enumerate(comps):
+            mc = len(at[ci])
+            if not mc:
+                continue
+            if mc not in load_range:
+                load_range[mc] = load_range_bound(mc, eps)
+            nbrs = [[local[u] for u in g.neighbors(v)] for v in comp]
+            self.parts.append((
+                ci, comp, at[ci], ends[ci], nbrs,
+                _component_diameter(g, comp), load_range[mc],
+            ))
+        self.prev_lmin = [0] * len(comps)
+        # floor and ceiling of b*rho by b, grown in scan as loads grow
+        self.rho = (b.rho_num, b.rho_den)
+        self.rho_floor: list[int] = []
+        self.rho_ceil: list[int] = []
         self.trace = RoundTrace()
 
     def _charge_word(self, value: int, copies: int) -> None:
-        bits = msg_bits(value)
+        # value >= 0, sized by msg_bits' int rule
+        bits = max(8, value.bit_length() + 1)
         self.trace.charge(bits, copies)
         if bits > self.cap and copies > 0:
             self.trace.violations.append(
                 (self.trace.rounds_executed + 1, -1, bits)
             )
 
-    def scan(self, loads_ab: list[tuple[int, int]]):
-        """One iteration's scan. Returns winners {comp_index: (l, V' ids)}."""
-        g = self.g
-        p, q = self.rho_num, self.rho_den
+    def scan(self, rnd: int, states):
+        """Scan the loads after iteration rnd-1, read off the load states.
+        Returns winners {comp_index: (l, V' ids)}."""
+        fl, cl = self.rho_floor, self.rho_ceil
+        p, q = self.rho
+        # an edge gains at most two rho-grants per iteration
+        for b in range(len(fl), 2 * rnd + 1):
+            fl.append(b * p // q)
+            cl.append(-(-b * p // q))
+        cz, thr_num, thr_den = self.cz, self.thr_num, self.thr_den
+        las = [st["la"] for st in states]
+        lbs = [st["lb"] for st in states]
         winners = {}
         round_cost = 0
-        for ci, comp in enumerate(self.comps):
-            eids = self.comp_edges[ci]
-            if not eids:
-                continue
-            diam = self.diam[ci]
+        for ci, comp, at, ends, nbrs, diam, load_range in self.parts:
+            mc = len(at)
             tree_edges = len(comp) - 1
-            ceils = []
-            floor_max = 0
-            l_min = None
-            for eid in eids:
-                a, b = loads_ab[eid]
-                ceils.append((a + -((-b * p) // q), eid))
-                fl = a + (b * p) // q
-                if l_min is None or fl < l_min:
-                    l_min = fl
-                if fl > floor_max:
-                    floor_max = fl
-            l_max = l_min + self.load_range[ci]
-            ceils.sort()
+            floors = [las[u][i] + fl[lbs[u][i]] for u, i in at]
+            l_min = min(floors)
+            floor_max = max(floors)
+            l_max = l_min + load_range
+            # one int key per edge, ceil(load) * mc + local index, and a
+            # sentinel past the window
+            keys = [
+                (las[u][i] + cl[lbs[u][i]]) * mc + j
+                for j, (u, i) in enumerate(at)
+            ]
+            keys.sort()
+            keys.append((l_max + 1) * mc)
             # a vertex joins V' once it has cz incident edges at or below l
-            cnt = {v: 0 for v in comp}
-            inside: set[int] = set()
-            e_inside = 0
+            cnt = [0] * len(comp)
+            inside = bytearray(len(comp))
+            size = e_inside = 0
             win = None
             scanned_until = l_min
-            i = 0
-            while i < len(ceils):
-                c = ceils[i][0]
-                if c > l_max:
-                    break
-                while i < len(ceils) and ceils[i][0] == c:
-                    u, v = g.edges[ceils[i][1]]
-                    for x in (u, v):
+            k = 0
+            key = keys[0]
+            while key < keys[-1]:
+                c = key // mc
+                base, end = c * mc, c * mc + mc
+                while key < end:
+                    for x in ends[key - base]:
                         cnt[x] += 1
-                        if cnt[x] == self.cz:
-                            for nb in g.neighbors(x):
-                                if nb in inside:
-                                    e_inside += 1
-                            inside.add(x)
-                    i += 1
+                        if cnt[x] == cz:
+                            for y in nbrs[x]:
+                                e_inside += inside[y]
+                            inside[x] = 1
+                            size += 1
+                    k += 1
+                    key = keys[k]
                 scanned_until = c
-                if inside and e_inside * self.thr_den >= self.thr_num * len(
-                    inside
-                ):
-                    win = (max(c, l_min), sorted(inside))
+                if size and e_inside * thr_den >= thr_num * size:
+                    win = (c, [v for v, x in zip(comp, inside) if x])
                     break
-            span = max(scanned_until, l_min) - l_min + 1
+            span = scanned_until - l_min + 1
             # minima travel as offsets within the load band: subtree minima
             # up the tree (at most floor_max - prev), the result back down
             prev = self.prev_lmin[ci]
@@ -354,7 +379,7 @@ class _PrimalDetector:
             self._charge_word(max(l_min - prev, 0), tree_edges)
             self.prev_lmin[ci] = l_min
             self._charge_word(len(comp), tree_edges * span)
-            self._charge_word(len(eids), tree_edges * span)
+            self._charge_word(mc, tree_edges * span)
             rounds_ci = (2 * diam + 2) + (diam + 1 + 2 * span)
             if win is not None:
                 winners[ci] = win
@@ -395,20 +420,10 @@ def integral_primal(
     detector = _PrimalDetector(g, z, eps, cap)
     found: dict = {}
 
-    # each edge's load is read at its smaller endpoint, at its position there
-    edge_at = [(0, 0)] * g.m
-    for u, incident in enumerate(g.adj):
-        for i, eid in enumerate(incident):
-            if g.edges[eid][0] == u:
-                edge_at[eid] = (u, i)
-
     def hook(rnd: int, states) -> bool:
         if rnd > T:
             return False
-        la = [st["la"] for st in states]
-        lb = [st["lb"] for st in states]
-        loads = [(la[u][i], lb[u][i]) for u, i in edge_at]
-        winners = detector.scan(loads)
+        winners = detector.scan(rnd, states)
         if winners:
             found.update(winners)
             return True

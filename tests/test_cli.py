@@ -181,14 +181,6 @@ class TestCli:
         assert code == 0
         assert payload["check"]["pass"] is True
 
-    def test_bench_csv(self, capsys, tmp_path):
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--suite", "ldd", "--out", str(out)])
-        assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("algorithm,n,eps,seed,rounds")
-        assert len(lines) == 1 + 3 * 2 * 3
-
     def test_error_is_structured(self, capsys, k5_file):
         code, payload = run_json(
             capsys,

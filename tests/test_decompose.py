@@ -119,3 +119,33 @@ class TestLdd:
         import math
 
         assert shift_budget(64, Fraction(1, 2)) == math.ceil(6 * math.log(64))
+
+    def test_budget_is_exact_and_matches_the_float_formula(self):
+        # the integer bounds on ln n give the float formula's value wherever
+        # that value is right; sampled up to 2^40 beyond the full range
+        import math
+        import random
+
+        epss = [Fraction(1, 2**k) for k in range(1, 7)]
+        epss += [Fraction(1, 5), Fraction(1, 10)]
+        rng = random.Random(40)
+        ns = list(range(1, 2**16 + 1))
+        ns += [rng.randrange(2**16, 2**40) for _ in range(2000)]
+        ns += [2**40 - 1, 2**40]
+        for n in ns:
+            for eps in epss:
+                want = max(1, math.ceil(3 / float(eps) * math.log(n)))
+                assert shift_budget(n, eps) == want, (n, eps)
+
+    def test_budget_refines_close_to_an_integer(self):
+        # eps within 1e-13 of 3*ln(2)/21 puts (3/eps)*ln 2 within about
+        # 1e-11 of 21, closer than the first fixed-point bounds resolve
+        from decimal import Decimal, getcontext
+
+        getcontext().prec = 60
+        ln2 = Decimal(2).ln()
+        for shift in (-1, 0, 1):
+            eps = Fraction(int(3 * ln2 / 21 * 10**13) + shift, 10**13)
+            x = 3 * ln2 * eps.denominator / eps.numerator
+            assert abs(x - 21) < Decimal("1e-10")
+            assert shift_budget(2, eps) == int(x.to_integral_value("ROUND_CEILING"))

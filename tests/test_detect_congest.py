@@ -3,7 +3,16 @@ from fractions import Fraction
 import pytest
 
 from densub.detect_congest import approx_densest, congest_detect, default_trials
-from densub.graphs import Graph, Subset, complete, cycle, density, erdos_renyi
+from densub.graphs import (
+    Graph,
+    Subset,
+    complete,
+    cycle,
+    density,
+    erdos_renyi,
+    planted_dense,
+)
+from densub.mwu import integral_primal
 from densub.oracle import exact_densest
 
 
@@ -14,6 +23,20 @@ def two_cliques(k, gap):
         (gap + i, gap + j) for i in range(k) for j in range(i + 1, k)
     ]
     return Graph(gap + k, edges)
+
+
+def many_components():
+    """100 K2, 50 K3, 30 K4 and 20 P6 side by side, then 7 isolated
+    vertices: 207 components on 597 vertices."""
+    edges, n = [], 0
+    for k, count in ((2, 100), (3, 50), (4, 30)):
+        for _ in range(count):
+            edges += [(n + a, n + b) for a in range(k) for b in range(a + 1, k)]
+            n += k
+    for _ in range(20):
+        edges += [(n + a, n + a + 1) for a in range(5)]
+        n += 6
+    return Graph(n + 7, edges)
 
 
 def k5_plus_k9():
@@ -84,6 +107,52 @@ class TestCongestDetect:
 
     def test_default_trials(self):
         assert default_trials(64) == 11
+
+
+    def test_planted_2048_trace_pinned(self):
+        # one big cluster per trial: its exact diameter, the LDD race and
+        # the primal scans at n = 2048, m = 104,916; the trace is pinned
+        g = planted_dense(2048, 8, 1)
+        out, trace = congest_detect(g, Fraction(7, 2), Fraction(1, 8), seed=1)
+        assert len(out) == 2048
+        assert trace.rounds_executed == 27_180
+        assert trace.total_bits == 38_253_778
+        assert trace.max_message_bits == 18
+        assert trace.violations == []
+
+class TestManyComponents:
+    """Outputs and traces on 207 components, pinned."""
+
+    def test_detect_pinned(self):
+        g = many_components()
+        out, trace = congest_detect(g, Fraction(3, 2), Fraction(1, 8), seed=2)
+        # exactly the 30 K4s (density 3/2) pass (7/8) * 3/2
+        assert out.ids() == tuple(range(350, 470))
+        assert trace.to_json() == {
+            "rounds": 51_239,
+            "max_message_bits": 11,
+            "total_bits": 23_297_150,
+            "violations": [],
+        }
+
+    def test_primal_pinned(self):
+        g = many_components()
+        # vertices 200..349 are the K3s, 350..469 the K4s, 470..589 the P6s
+        want = {
+            Fraction(1, 2): (range(590), 27, 20320),
+            Fraction(1): (range(200, 590), 27, 19520),
+            Fraction(3, 2): (range(200, 470), 21, 18720),
+            Fraction(2): (range(350, 470), 21, 17920),
+        }
+        for z, (ids, rounds, bits) in want.items():
+            sub, trace = integral_primal(g, z, Fraction(1, 8), T_override=32, seed=5)
+            assert sub.ids() == tuple(ids)
+            assert trace.to_json() == {
+                "rounds": rounds,
+                "max_message_bits": 8,
+                "total_bits": bits,
+                "violations": [],
+            }
 
 
 class TestApproxDensest:

@@ -189,6 +189,191 @@ class TestRunBitAccounting:
         assert exc.value.bits == msg_bits(m)
 
 
+class Pulse(VertexProgram):
+    """Each vertex sleeps until its wake round, then floods the smallest id
+    it has heard of and sleeps two more rounds; it halts after three
+    pulses. Mail updates the minimum and pulls the wake round in to two
+    rounds later; a step without mail before the wake round is a no-op, as
+    idle_until requires."""
+
+    def init(self, ctx):
+        return (1 + (ctx.vertex * 7) % 11, ctx.vertex, 0)
+
+    def idle_until(self, state):
+        return state[0]
+
+    def step(self, ctx, state, rnd, inbox):
+        wake, best, pulses = state
+        if self.idle_until is not None:
+            assert inbox or rnd >= wake, "stepped asleep without mail"
+        if inbox:
+            best = min(best, *inbox.values())
+            wake = min(wake, rnd + 2)
+        if rnd < wake:
+            return (wake, best, pulses), {}, False
+        out = {e: best for e in ctx.incident}
+        return (rnd + 3, best, pulses + 1), out, pulses == 2
+
+
+class PulseStepped(Pulse):
+    """Pulse without idle_until: the engine steps every vertex every round."""
+
+    idle_until = None
+
+
+class Sleeper(VertexProgram):
+    """One vertex that sleeps until round `wake` and halts there."""
+
+    def __init__(self, wake):
+        self.wake = wake
+
+    def init(self, ctx):
+        return 0
+
+    def idle_until(self, state):
+        return self.wake
+
+    def step(self, ctx, state, rnd, inbox):
+        return rnd, {}, rnd >= self.wake
+
+
+class Snooze(VertexProgram):
+    """Vertex 0 sends once in round 1 and halts. Vertex 1 sleeps until
+    round 5; mail postpones its wake round to 8, where it halts."""
+
+    def __init__(self):
+        self.steps = []
+
+    def init(self, ctx):
+        return 1 if ctx.vertex == 0 else 5
+
+    def idle_until(self, state):
+        return state
+
+    def step(self, ctx, state, rnd, inbox):
+        self.steps.append((ctx.vertex, rnd))
+        if ctx.vertex == 0:
+            return state, {e: 1 for e in ctx.incident}, True
+        if inbox:
+            return 8, {}, False
+        return state, {}, True
+
+
+class TestIdleUntil:
+    GRAPHS = [path(9), cycle(12), complete(6), Graph(7, [(0, 1), (2, 3)])]
+
+    @pytest.mark.parametrize("schedule", ["forward", "reverse", "shuffled"])
+    def test_skipping_matches_stepping_every_vertex(self, schedule):
+        def observe(program, g, hooked):
+            log = []
+
+            def hook(rnd, states):
+                log.append((rnd, list(states)))
+                return False
+
+            outs, trace = run(
+                g, program, SimConfig(seed=4), schedule=schedule,
+                round_hook=hook if hooked else None,
+            )
+            return outs, trace.to_json(), log
+
+        for g in self.GRAPHS:
+            for hooked in (False, True):
+                skipped = observe(Pulse(), g, hooked)
+                assert skipped == observe(PulseStepped(), g, hooked)
+            # the hook still sees every round, with every state
+            outs, trace, log = skipped
+            assert [r for r, _ in log] == list(range(1, trace["rounds"] + 1))
+
+    def test_ldd_race_steps_each_vertex_once(self, monkeypatch):
+        from densub import decompose
+
+        calls = []
+        step = decompose._ClusterRace.step
+
+        def counted(self, ctx, state, rnd, inbox):
+            calls.append(ctx.vertex)
+            return step(self, ctx, state, rnd, inbox)
+
+        monkeypatch.setattr(decompose._ClusterRace, "step", counted)
+        for g in [path(40), cycle(33), complete(9), Graph(5, [])]:
+            for seed in range(3):
+                calls.clear()
+                decompose.ldd_traced(g, Fraction(1, 4), seed)
+                assert sorted(calls) == list(range(g.n))
+
+    def test_postponed_wake_round_is_kept(self):
+        program = Snooze()
+        _, trace = run(path(2), program, SimConfig())
+        assert program.steps == [(0, 1), (1, 2), (1, 8)]
+        assert trace.rounds_executed == 8
+
+    def test_sleeper_returns_in_its_wake_round(self):
+        _, trace = run(path(1), Sleeper(50), SimConfig(max_rounds=50))
+        assert trace.rounds_executed == 50
+
+    def test_sleeper_past_max_rounds_raises(self):
+        with pytest.raises(MaxRoundsExceeded):
+            run(path(1), Sleeper(51), SimConfig(max_rounds=50))
+        with pytest.raises(MaxRoundsExceeded):
+            run(path(3), Sleeper(10**12), SimConfig(max_rounds=10))
+
+
+def _bfs_diameter(g, comp):
+    """Largest BFS distance between two vertices of `comp`, by plain BFS."""
+    best = 0
+    for s in comp:
+        dist = {s: 0}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in g.neighbors(v):
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        best = max(best, max(dist.values()))
+    return best
+
+
+def _grid(a, b):
+    edges = []
+    for i in range(a):
+        for j in range(b):
+            v = i * b + j
+            if j + 1 < b:
+                edges.append((v, v + 1))
+            if i + 1 < a:
+                edges.append((v, v + b))
+    return Graph(a * b, edges)
+
+
+class TestComponentDiameter:
+    def test_equals_all_pairs_bfs_without_bfs_calls(self, monkeypatch):
+        import random
+
+        from densub.engine import _component_diameter
+        from densub.graphs import erdos_renyi
+
+        rng = random.Random(11)
+        graphs = [
+            erdos_renyi(rng.randint(1, 40), rng.choice([0.05, 0.1, 0.2, 0.5]), s)
+            for s in range(300)
+        ]
+        graphs += [cycle(k) for k in (3, 4, 5, 17, 64)]
+        graphs += [path(k) for k in (1, 2, 3, 30)]
+        graphs += [_grid(a, b) for a, b in ((1, 1), (2, 3), (5, 5), (3, 12))]
+        want = [[_bfs_diameter(g, c) for c in g.components()] for g in graphs]
+
+        def no_bfs(self, src):
+            raise AssertionError("distances_from called")
+
+        monkeypatch.setattr(Graph, "distances_from", no_bfs)
+        got = [[_component_diameter(g, c) for c in g.components()] for g in graphs]
+        assert got == want
+
+
 class TestCollectBall:
     def test_radius_zero(self):
         balls, trace = collect_ball(path(4), 0)
