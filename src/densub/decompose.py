@@ -10,13 +10,12 @@ with high probability, and each edge is cut with probability about eps.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import CONGEST, RoundTrace, SimConfig, VertexProgram, run
-from .graphs import Graph
+from .graphs import Graph, ceil_ln
 
 __all__ = ["Clustering", "ldd", "ldd_traced", "shift_budget"]
 
@@ -37,47 +36,11 @@ class Clustering:
         return out
 
 
-@functools.lru_cache(maxsize=64)
-def _atanh_bounds(a: int, b: int, prec: int) -> tuple[int, int]:
-    """lo <= 2**prec * atanh(a/b) <= hi, for 0 <= a/b <= 1/3.
-
-    Sums the series y^(2j+1)/(2j+1) in fixed point. Each power is floored
-    from the last, so it lags its true value by less than 9/8 (y^2 <= 1/9);
-    a term then loses less than 2.2 units, and once the power reaches 0 the
-    tail is below 1.3 units.
-    """
-    total = terms = 0
-    power = (a << prec) // b
-    while power:
-        total += power // (2 * terms + 1)
-        power = power * a * a // (b * b)
-        terms += 1
-    return total, total + 3 * terms + 2
-
-
 def shift_budget(n: int, eps: Fraction) -> int:
-    """Start-time budget delta = ceil((3/eps) * ln n), exactly.
-
-    With n = 2^k * r, 1 <= r < 2, ln n = 2k*atanh(1/3) + 2*atanh((r-1)/(r+1));
-    fixed-point bounds on both are refined until they agree on the
-    ceiling. For n >= 2, ln n is irrational, so they eventually do.
-    """
+    """Start-time budget delta = ceil((3/eps) * ln n), exactly (at least 1)."""
     if n <= 1:
         return 1
-    eps = Fraction(eps)
-    k = n.bit_length() - 1
-    prec = 32
-    while True:
-        lo2, hi2 = _atanh_bounds(1, 3, prec)
-        lor, hir = _atanh_bounds(n - (1 << k), n + (1 << k), prec)
-        # (3/eps) * ln n = 6*den*(k*atanh(1/3) + atanh(y)) / num, the
-        # atanh values in units of 2^-prec
-        scale = eps.numerator << prec
-        lo = -(-6 * eps.denominator * (k * lo2 + lor) // scale)
-        hi = -(-6 * eps.denominator * (k * hi2 + hir) // scale)
-        if lo == hi:
-            return max(1, lo)
-        prec *= 2
+    return max(1, ceil_ln(3 / Fraction(eps), n))
 
 
 class _ClusterRace(VertexProgram):

@@ -60,6 +60,9 @@ def congest_detect(
     bound). Per cluster the primal runs with z = (1-eps/2)*dtilde and
     accuracy eps/8; its acceptance threshold (1-3*eps/8)*z exceeds
     (1-eps)*dtilde, so soundness holds on every run regardless of seeds.
+    The primal takes no seed: its run is a function of the cluster's
+    members, so a cluster that already missed in this call is charged its
+    first run's trace again instead of being run again.
     """
     dtilde, eps = Fraction(dtilde), Fraction(eps)
     if not (0 < eps < Fraction(1, 4)):
@@ -73,11 +76,13 @@ def congest_detect(
     z = (1 - eps / 2) * dtilde
     eps_inner = eps / 8
     marked = [False] * g.n
+    # members of each cluster that missed -> its primal trace (None: the
+    # cluster has no edges); a cluster that found a subgraph is marked
+    misses: dict[tuple[int, ...], RoundTrace | None] = {}
     trace = RoundTrace()
     for trial in range(trials):
-        trial_seed = _mix(seed, trial)
         clustering, ldd_trace = ldd_traced(
-            g, eps / 2, trial_seed, cap_bits=cap
+            g, eps / 2, _mix(seed, trial), cap_bits=cap
         )
         trace.then(ldd_trace)
         # cluster-local OR over marked bits: up+down a BFS tree whose depth
@@ -91,21 +96,24 @@ def congest_detect(
             members = cluster_map[center]
             if any(marked[v] for v in members):
                 continue
-            sub, old_ids = g.induced(members)
-            if sub.m == 0:
-                continue
-            got, ptrace = integral_primal(
-                sub,
-                z,
-                eps_inner,
-                T_override=primal_iterations,
-                seed=_mix(trial_seed, center),
-                cap_bits=cap,
-            )
-            cluster_traces.append(ptrace)
-            if got is not None:
-                for i in got.ids():
-                    marked[old_ids[i]] = True
+            key = tuple(members)
+            if key in misses:
+                ptrace = misses[key]
+            else:
+                sub, old_ids = g.induced(members)
+                got = ptrace = None
+                if sub.m:
+                    got, ptrace = integral_primal(
+                        sub, z, eps_inner, T_override=primal_iterations,
+                        cap_bits=cap,
+                    )
+                if got is None:
+                    misses[key] = ptrace
+                else:
+                    for i in got.ids():
+                        marked[old_ids[i]] = True
+            if ptrace is not None:
+                cluster_traces.append(ptrace)
         if cluster_traces:
             trace.then(merge_parallel(cluster_traces))
     out = Subset(g.n, [v for v in range(g.n) if marked[v]])

@@ -7,6 +7,7 @@ share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import deque
@@ -30,6 +31,7 @@ __all__ = [
     "format_ratio",
     "frac_ceil",
     "ceil_log2",
+    "ceil_ln",
     "is_neg_pow2",
     "generate",
     "cycle",
@@ -69,6 +71,51 @@ def ceil_log2(q: Fraction | int) -> int:
     while Fraction(2) ** k < q:
         k += 1
     return k
+
+
+@functools.lru_cache(maxsize=64)
+def _atanh_bounds(a: int, b: int, prec: int) -> tuple[int, int]:
+    """lo <= 2**prec * atanh(a/b) <= hi, for 0 <= a/b <= 1/3.
+
+    Sums the series y^(2j+1)/(2j+1) in fixed point. Each power is floored
+    from the last, so it lags its true value by less than 9/8 (y^2 <= 1/9);
+    a term then loses less than 2.2 units, and once the power reaches 0 the
+    tail is below 1.3 units.
+    """
+    total = terms = 0
+    power = (a << prec) // b
+    while power:
+        total += power // (2 * terms + 1)
+        power = power * a * a // (b * b)
+        terms += 1
+    return total, total + 3 * terms + 2
+
+
+def ceil_ln(c: Fraction | int, n: int) -> int:
+    """ceil(c * ln n) for c >= 0 and n >= 1, exactly.
+
+    With n = 2^k * r, 1 <= r < 2, ln n = 2k*atanh(1/3) + 2*atanh((r-1)/(r+1));
+    fixed-point bounds on both are refined until they agree on the
+    ceiling. For n >= 2, ln n is irrational, so they eventually do.
+    """
+    c = Fraction(c)
+    if c < 0 or n < 1:
+        raise ValueError("ceil_ln requires c >= 0 and n >= 1")
+    if n == 1:
+        return 0
+    k = n.bit_length() - 1
+    prec = 32
+    while True:
+        lo2, hi2 = _atanh_bounds(1, 3, prec)
+        lor, hir = _atanh_bounds(n - (1 << k), n + (1 << k), prec)
+        # c * ln n = 2*c*(k*atanh(1/3) + atanh(y)), the atanh values in
+        # units of 2^-prec
+        scale = c.denominator << prec
+        lo = -(-2 * c.numerator * (k * lo2 + lor) // scale)
+        hi = -(-2 * c.numerator * (k * hi2 + hir) // scale)
+        if lo == hi:
+            return lo
+        prec *= 2
 
 
 def is_neg_pow2(q: Fraction) -> bool:

@@ -18,7 +18,6 @@ up among the low-load level sets. At least one of the two always delivers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,7 +29,15 @@ from .engine import (
     _component_diameter,
     run,
 )
-from .graphs import Graph, Subset, ceil_log2, format_ratio, frac_ceil, is_neg_pow2
+from .graphs import (
+    Graph,
+    Subset,
+    ceil_ln,
+    ceil_log2,
+    format_ratio,
+    frac_ceil,
+    is_neg_pow2,
+)
 
 __all__ = [
     "DualSolution",
@@ -44,8 +51,9 @@ __all__ = [
 
 
 def default_iterations(n: int, eps: Fraction) -> int:
-    """ceil((8/eps^2) * ln n), rounded up to a power of 2."""
-    raw = math.ceil(8 / float(eps) ** 2 * math.log(max(n, 2)))
+    """ceil((8/eps^2) * ln n), exactly, rounded up to a power of 2; n < 2
+    counts as 2."""
+    raw = ceil_ln(8 / Fraction(eps) ** 2, max(n, 2))
     return 1 << max(raw - 1, 1).bit_length()
 
 
@@ -224,7 +232,6 @@ def fractional_dual(
     z: Fraction,
     eps: Fraction,
     T_override: int | None = None,
-    seed: int = 0,
     cap_bits: int | None = None,
     enforcement: str | None = None,
 ) -> tuple[DualSolution, RoundTrace]:
@@ -241,7 +248,6 @@ def fractional_dual(
         model=CONGEST,
         enforcement=enforcement or ("strict" if g.n >= 16 else "permissive"),
         max_rounds=T + 2,
-        seed=seed,
         cap_bits=cap_bits,
     )
     outs, trace = run(g, _LoadProgram(budget, T), cfg)
@@ -395,7 +401,6 @@ def integral_primal(
     z: Fraction,
     eps: Fraction,
     T_override: int | None = None,
-    seed: int = 0,
     cap_bits: int | None = None,
 ) -> tuple[Subset | None, RoundTrace]:
     """Load-guided search for a subgraph of density at least (1-3*eps)*z.
@@ -413,7 +418,6 @@ def integral_primal(
         model=CONGEST,
         enforcement="strict" if g.n >= 16 else "permissive",
         max_rounds=T + 2,
-        seed=seed,
         cap_bits=cap_bits,
     )
     cap = cap_bits if cap_bits is not None else cfg.cap_for(g.n)

@@ -105,47 +105,37 @@ def _weak_orient_edges(
     is over `edges` as given.
     """
     m = len(edges)
-    head = [1 if v > u else 0 for (u, v) in edges]
-    # vertex slots in edge order; copy = block of three slots
+    # slot 2*eid + s is side s of edge eid (side 0 at edges[eid][0]); each
+    # vertex's slots, in edge order and padded with -1 to a multiple of
+    # three, make its copies. ec[slot] is the slot's copy, hp[eid] the
+    # slot at the edge's head and hp[eid] ^ 1 the one at its tail.
     slots: list[list[int]] = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(edges):
-        slots[u].append(eid)
-        slots[v].append(eid)
-    offset = [0] * (n + 1)
-    for v in range(n):
-        offset[v + 1] = offset[v] + (len(slots[v]) + 2) // 3
-    num_copies = offset[n]
-    copy_edges: list[list[int]] = [[] for _ in range(num_copies)]
-    edge_copy = [[-1, -1] for _ in range(m)]  # copy id per endpoint side
-    for v in range(n):
-        for j, eid in enumerate(slots[v]):
-            c = offset[v] + j // 3
-            copy_edges[c].append(eid)
-            if edges[eid][0] == v and edge_copy[eid][0] < 0:
-                edge_copy[eid][0] = c
-            else:
-                edge_copy[eid][1] = c
+        slots[u].append(2 * eid)
+        slots[v].append(2 * eid + 1)
+    flat: list[int] = []
+    for sv in slots:
+        flat += sv
+        flat += (-1, -1)[: -len(sv) % 3]
+    copy_slots = list(zip(*[iter(flat)] * 3))
+    num_copies = len(copy_slots)
+    ec = [0] * (2 * m + 1)  # the extra last entry takes the padding
+    for p, x in enumerate(flat):
+        ec[x] = p // 3
+    ec.pop()
+    full = bytearray(last >= 0 for _a, _b, last in copy_slots)
+    full_copies = [c for c in range(num_copies) if full[c]]
+    hp = [2 * eid + (v > u) for eid, (u, v) in enumerate(edges)]
     indeg = [0] * num_copies
-    for eid in range(m):
-        indeg[edge_copy[eid][head[eid]]] += 1
-
-    def head_copy(eid: int) -> int:
-        return edge_copy[eid][head[eid]]
-
-    def tail_copy(eid: int) -> int:
-        return edge_copy[eid][1 - head[eid]]
-
-    def is_sink(c: int) -> bool:
-        return len(copy_edges[c]) == 3 and indeg[c] == 3
-
-    def is_type2(c: int) -> bool:
-        return len(copy_edges[c]) == 3 and indeg[c] == 2
+    for h in hp:
+        indeg[ec[h]] += 1
 
     if phase_budget is None:
         phase_budget = 8 * max(max(n, 2) - 1, 1).bit_length()
     trace = RoundTrace()
     sink_history: list[int] = []
-    sinks = [c for c in range(num_copies) if is_sink(c)]
+    # a sink is a full copy with three incoming edges
+    sinks = [c for c in full_copies if indeg[c] == 3]
     phases = 0
     while sinks:
         phases += 1
@@ -155,9 +145,10 @@ def _weak_orient_edges(
             )
         sink_history.append(len(sinks))
         # wave sub-phase: every sink explores backwards along incoming
-        # edges through out-degree-1 copies; each copy is reached at most
-        # once because its single out-edge pins it to one sink's chain
-        waved: dict[int, tuple[int, int]] = {}  # copy -> (sink, via edge)
+        # edges through out-degree-1 (full, in-degree 2) copies; each copy
+        # is reached at most once because its single out-edge pins it to
+        # one sink's chain
+        waved: dict[int, int] = {}  # copy -> the edge that reached it
         hits: dict[int, tuple[int, int, int]] = {}  # sink -> (layer, w, e)
         frontier = [(c, c) for c in sinks]
         layer = 0
@@ -166,20 +157,25 @@ def _weak_orient_edges(
             layer += 1
             nxt = []
             for c, origin in frontier:
-                for eid in copy_edges[c]:
-                    if head_copy(eid) != c:
-                        continue
-                    w = tail_copy(eid)
+                for x in copy_slots[c]:
+                    eid = x >> 1
+                    if hp[eid] != x:
+                        continue  # c is the tail, or x = -1 is padding
+                    w = ec[x ^ 1]
                     wave_messages += 1
-                    if is_type2(w):
-                        if w not in waved:
-                            waved[w] = (origin, eid)
-                            nxt.append((w, origin))
-                    elif not is_sink(w):
-                        best = hits.get(origin)
-                        cand = (layer, w, eid)
-                        if best is None or cand < best:
-                            hits[origin] = cand
+                    if full[w]:
+                        d = indeg[w]
+                        if d == 3:
+                            continue
+                        if d == 2:
+                            if w not in waved:
+                                waved[w] = eid
+                                nxt.append((w, origin))
+                            continue
+                    best = hits.get(origin)
+                    cand = (layer, w, eid)
+                    if best is None or cand < best:
+                        hits[origin] = cand
             frontier = nxt
         for s in sinks:
             if s not in hits:
@@ -193,25 +189,23 @@ def _weak_orient_edges(
             _layer, w, _e = hits[s]
             if w not in accept or s < accept[w]:
                 accept[w] = s
-        flipped_paths = 0
         path_len_total = 0
         for w, s in sorted(accept.items()):
-            layer_s, _w, eid = hits[s]
+            _layer, _w, eid = hits[s]
             # walk from the endpoint back to the sink, flipping
             path = [eid]
-            c = head_copy(eid)
+            c = ec[hp[eid]]
             while c != s:
-                origin, via = waved[c]
+                via = waved[c]
                 path.append(via)
-                c = head_copy(via)
+                c = ec[hp[via]]
             for e in path:
-                hc, tc = head_copy(e), tail_copy(e)
-                head[e] ^= 1
-                indeg[hc] -= 1
-                indeg[tc] += 1
-            flipped_paths += 1
+                h = hp[e]
+                indeg[ec[h]] -= 1
+                indeg[ec[h ^ 1]] += 1
+                hp[e] = h ^ 1
             path_len_total += len(path)
-        new_sinks = [c for c in range(num_copies) if is_sink(c)]
+        new_sinks = [c for c in full_copies if indeg[c] == 3]
         if not set(new_sinks) <= set(sinks):
             raise RuntimeError("an augmenting-path flip created a new sink")
         if len(sinks) - len(new_sinks) < -(-len(sinks) // 3):
@@ -226,7 +220,8 @@ def _weak_orient_edges(
         trace.charge(msg_bits(layer), path_len_total)  # report words
         trace.charge(copy_bits, 2 * path_len_total)  # designate+accept
         sinks = new_sinks
-    orientation = Orientation(n, tuple(edges), tuple(head))
+    head = tuple(h & 1 for h in hp)
+    orientation = Orientation(n, tuple(edges), head)
     return WeakOrientationResult(orientation, phases, sink_history, trace)
 
 
@@ -362,7 +357,6 @@ def orient_low_outdegree_detailed(
     dtilde: int,
     eps: Fraction,
     T_override: int | None = None,
-    seed: int = 0,
 ) -> OrientReport:
     """Full pipeline: dual solve, bit snap, per-bit split rounding.
 
@@ -384,9 +378,7 @@ def orient_low_outdegree_detailed(
     eps2 = eps / 8
     eps_dual = eps1 / 2
     T = T_override or default_iterations(g.n, eps_dual)
-    sol, trace = fractional_dual(
-        g, Fraction(dtilde), eps_dual, T_override=T, seed=seed
-    )
+    sol, trace = fractional_dual(g, Fraction(dtilde), eps_dual, T_override=T)
     if not sol.feasible:
         raise RuntimeError(
             "fractional solution infeasible; raise the iteration count "
@@ -474,7 +466,6 @@ def orient_low_outdegree(
     dtilde: int,
     eps: Fraction,
     T_override: int | None = None,
-    seed: int = 0,
 ) -> tuple[Orientation, RoundTrace]:
-    rep = orient_low_outdegree_detailed(g, dtilde, eps, T_override, seed)
+    rep = orient_low_outdegree_detailed(g, dtilde, eps, T_override)
     return rep.orientation, rep.trace

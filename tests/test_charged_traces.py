@@ -47,16 +47,14 @@ def _split_g40():
 
 
 def _primal_g40():
-    _sub, trace = integral_primal(
-        G40, 3, Fraction(1, 8), T_override=64, seed=0
-    )
+    _sub, trace = integral_primal(G40, 3, Fraction(1, 8), T_override=64)
     return trace
 
 
 def _primal_capped():
     g = erdos_renyi(14, 0.6, seed=0)
     _sub, trace = integral_primal(
-        g, 3, Fraction(1, 8), T_override=64, seed=0, cap_bits=6
+        g, 3, Fraction(1, 8), T_override=64, cap_bits=6
     )
     charged = [v for v in trace.violations if v[1] == -1]
     assert len(charged) == 5

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from densub import detect_congest
 from densub.detect_congest import approx_densest, congest_detect, default_trials
 from densub.graphs import (
     Graph,
@@ -145,7 +146,7 @@ class TestManyComponents:
             Fraction(2): (range(350, 470), 21, 17920),
         }
         for z, (ids, rounds, bits) in want.items():
-            sub, trace = integral_primal(g, z, Fraction(1, 8), T_override=32, seed=5)
+            sub, trace = integral_primal(g, z, Fraction(1, 8), T_override=32)
             assert sub.ids() == tuple(ids)
             assert trace.to_json() == {
                 "rounds": rounds,
@@ -186,3 +187,89 @@ class TestApproxDensest:
             d = exact_densest(g).value
             out, dhat, _ = approx_densest(g, eps, seed=seed)
             assert dhat >= (1 - eps) * d / (1 + eps)
+
+
+class TestPrimalReplay:
+    """A congest_detect call runs the primal once per distinct unmarked
+    cluster; a repeat is charged its first run's trace."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Per congest_detect call: its clusterings and primal calls."""
+        calls = []
+        detect, ldd, primal = (
+            detect_congest.congest_detect,
+            detect_congest.ldd_traced,
+            detect_congest.integral_primal,
+        )
+
+        def spy_detect(*args, **kwargs):
+            calls.append({"clusterings": [], "primal": []})
+            return detect(*args, **kwargs)
+
+        def spy_ldd(*args, **kwargs):
+            out = ldd(*args, **kwargs)
+            calls[-1]["clusterings"].append(out[0])
+            return out
+
+        def spy_primal(sub, *args, **kwargs):
+            out = primal(sub, *args, **kwargs)
+            calls[-1]["primal"].append((sub, out[0]))
+            return out
+
+        monkeypatch.setattr(detect_congest, "congest_detect", spy_detect)
+        monkeypatch.setattr(detect_congest, "ldd_traced", spy_ldd)
+        monkeypatch.setattr(detect_congest, "integral_primal", spy_primal)
+        return calls
+
+    def test_one_primal_per_distinct_unmarked_cluster(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        g = erdos_renyi(12, 0.5, seed=2)
+        out, dhat, trace = detect_congest.approx_densest(g, Fraction(1, 8), seed=2)
+        assert len(calls) == 23
+        pairs = primal_calls = 0
+        for call in calls:
+            # replay the call's marking: every (trial, cluster) pair with no
+            # marked member and at least one edge either is the first of its
+            # member set in this call and runs the primal, or repeats a miss
+            marked: set[int] = set()
+            missed: set[tuple[int, ...]] = set()
+            runs = iter(call["primal"])
+            for clustering in call["clusterings"]:
+                for _center, members in sorted(clustering.clusters().items()):
+                    sub, old_ids = g.induced(members)
+                    if marked & set(members) or sub.m == 0:
+                        continue
+                    pairs += 1
+                    if tuple(members) in missed:
+                        continue
+                    ran_on, got = next(runs)
+                    assert ran_on == sub
+                    if got is None:
+                        missed.add(tuple(members))
+                    else:
+                        marked.update(old_ids[i] for i in got.ids())
+            assert next(runs, None) is None
+            primal_calls += len(call["primal"])
+        assert (primal_calls, pairs) == (38, 141)
+        # output and trace as before the replay
+        assert out.ids() == (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11)
+        assert dhat == Fraction(27, 11)
+        assert trace.to_json() == {
+            "rounds": 615_720,
+            "max_message_bits": 8,
+            "total_bits": 38_640_776,
+            "violations": [],
+        }
+
+    def test_no_replay_across_calls(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        g = erdos_renyi(12, 0.5, seed=2)  # D = 27/11 < 3: every run misses
+        results = [
+            detect_congest.congest_detect(g, Fraction(3), Fraction(1, 8), seed=4)
+            for _ in range(2)
+        ]
+        assert [len(call["primal"]) for call in calls] == [4, 4]
+        (out_a, trace_a), (out_b, trace_b) = results
+        assert len(out_a) == 0 and out_a == out_b
+        assert trace_a.to_json() == trace_b.to_json()

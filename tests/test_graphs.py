@@ -12,6 +12,7 @@ from densub.graphs import (
     Orientation,
     Subset,
     barbell,
+    ceil_ln,
     ceil_log2,
     complete,
     cycle,
@@ -259,6 +260,16 @@ class TestRationalHelpers:
         assert ceil_log2(2) == 1
         assert ceil_log2(Fraction(9, 2)) == 3
         assert ceil_log2(Fraction(1, 3)) == 0
+
+    def test_ceil_ln_edges(self):
+        assert ceil_ln(5, 1) == 0  # ln 1 = 0
+        assert ceil_ln(0, 10**9) == 0
+        assert ceil_ln(1, 2) == 1 and ceil_ln(Fraction(1, 2), 4) == 1
+        assert ceil_ln(Fraction(10**6), 3) == 1_098_613  # 10^6 ln 3 = 1098612.28...
+        with pytest.raises(ValueError):
+            ceil_ln(1, 0)
+        with pytest.raises(ValueError):
+            ceil_ln(-1, 3)
 
     def test_is_neg_pow2(self):
         assert is_neg_pow2(Fraction(1, 8))

@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from densub.graphs import Graph, Subset, complete, cycle, density, erdos_renyi
+from densub.graphs import (
+    Graph,
+    Subset,
+    ceil_ln,
+    complete,
+    cycle,
+    density,
+    erdos_renyi,
+)
 from densub.mwu import (
     DualSolution,
     alpha_bit_width,
@@ -257,6 +265,26 @@ class TestHelpers:
         t = default_iterations(64, Fraction(1, 8))
         assert t & (t - 1) == 0
         assert t >= 8 / (1 / 8) ** 2 * 4  # at least (8/eps^2) ln 64
+
+    def test_default_iterations_is_exact_and_matches_the_float_formula(self):
+        # the integer bounds on ln n give the float formula's value wherever
+        # that value is right; sampled up to 2^40 beyond the full range
+        import math
+
+        epss = [Fraction(1, 2**k) for k in range(6, 11)] + [Fraction(1, 5)]
+        rng = random.Random(41)
+        ns = list(range(1, 2**16 + 1))
+        ns += [rng.randrange(2**16, 2**40) for _ in range(2000)]
+        ns += [2**40 - 1, 2**40]
+        for eps in epss:
+            c = 8 / eps**2
+            for n in ns:
+                raw = math.ceil(8 / float(eps) ** 2 * math.log(max(n, 2)))
+                assert ceil_ln(c, max(n, 2)) == raw, (n, eps)
+            for n in ns[:300] + ns[-2002:]:
+                raw = math.ceil(8 / float(eps) ** 2 * math.log(max(n, 2)))
+                want = 1 << max(raw - 1, 1).bit_length()
+                assert default_iterations(n, eps) == want, (n, eps)
 
     def test_load_range_bound_dominates(self):
         import math

@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densub.graphs import Graph, complete, cycle, erdos_renyi, path
 from densub.orient import (
@@ -91,6 +93,77 @@ class TestWeakOrientation:
         text = o.to_text()
         assert len(text.strip().splitlines()) == 2
         assert "->" in text or "<-" in text
+
+
+@st.composite
+def multigraph_edge_lists(draw):
+    """(n, edges) with parallel pairs, larger-first pairs and isolated
+    vertices, as the decomposition hands its virtual multigraphs on."""
+    n = draw(st.integers(1, 24))
+    edges = []
+    if n >= 2:
+        for _ in range(draw(st.integers(0, 5 * n))):
+            u = draw(st.integers(0, n - 1))
+            v = (u + draw(st.integers(1, n - 1))) % n
+            for _ in range(draw(st.integers(1, 3))):
+                edges.append((v, u) if draw(st.booleans()) else (u, v))
+    return n + draw(st.integers(0, 3)), edges
+
+
+def _degrees(n, edges):
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def _outdegs(n, edges, dir_bits):
+    out = [0] * n
+    for (u, v), bit in zip(edges, dir_bits):
+        out[u if bit else v] += 1
+    return out
+
+
+class TestSplitterProperties:
+    @given(multigraph_edge_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_weak_orientation_guarantees(self, case):
+        n, edges = case
+        res = _weak_orient_edges(n, edges)
+        assert res.orientation.edges == tuple(edges)
+        deg = _degrees(n, edges)
+        outs = _outdegs(n, edges, res.orientation.dir_bits)
+        assert all(o >= d // 3 for o, d in zip(outs, deg))
+        # the split starts with every edge pointing at its larger endpoint;
+        # a sink is a block of three consecutive slots, all incoming
+        into = [[] for _ in range(n)]
+        for u, v in edges:
+            into[u].append(u > v)
+            into[v].append(v > u)
+        first = sum(
+            all(a[i : i + 3]) for a in into for i in range(0, len(a) - 2, 3)
+        )
+        hist = res.sink_history
+        assert len(hist) == res.phases
+        assert hist[:1] == ([first] if first else [])
+        for a, b in zip(hist, hist[1:] + [0]):
+            assert a - b >= -(-a // 3)
+        assert res.phases <= 8 * max(max(n, 2) - 1, 1).bit_length()
+
+    @given(
+        multigraph_edge_lists(),
+        st.sampled_from([Fraction(1, 2), Fraction(1, 5), Fraction(1, 8)]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_split_imbalance(self, case, eps):
+        n, edges = case
+        o, _ = _split_edge_list(n, edges, eps)
+        assert o.edges == tuple(edges)
+        deg = _degrees(n, edges)
+        outs = _outdegs(n, edges, o.dir_bits)
+        for v in range(n):
+            assert abs(2 * outs[v] - deg[v]) <= eps * deg[v] + 12
 
 
 class TestPathDecompose:
