@@ -26,7 +26,6 @@ from .engine import (
     SimConfig,
     component_min,
     merge_parallel,
-    merge_sequential,
 )
 from .graphs import Graph, Subset, density
 from .mwu import integral_primal
@@ -149,19 +148,19 @@ def approx_densest(
     phases = phase_count(g.n, eps) + 1
     psi = [-1] * g.n
     phase_marks: list[Subset] = []
-    traces = []
+    trace = RoundTrace()
     guess = Fraction(1)
     for i in range(phases):
         sub, tr = congest_detect(
             g, guess, eps, _mix(seed, 1000 + i), **detect_kwargs
         )
-        traces.append(tr)
+        trace.then(tr)
         phase_marks.append(sub)
         for v in sub.members:
             psi[v] = i
         guess *= 1 + eps
     neg_best, agg_trace = component_min(g, [-p for p in psi])
-    traces.append(agg_trace)
+    trace.then(agg_trace)
     final = set()
     for v in range(g.n):
         j = -neg_best[v]
@@ -169,4 +168,4 @@ def approx_densest(
             final.add(v)
     out = Subset(g.n, sorted(final))
     dhat = density(g, out) if final else Fraction(0)
-    return out, dhat, merge_sequential(traces)
+    return out, dhat, trace

@@ -107,13 +107,12 @@ def _protocol(g: Graph, dtilde, eps, solve, is_active):
     cache: dict = {}
     best = []
     for verts, edges in balls:
-        key = frozenset(verts)
-        if key not in cache:
-            cache[key] = solve(verts, edges)
-        best.append(cache[key])
+        if verts not in cache:
+            cache[verts] = solve(verts, edges)
+        best.append(cache[verts])
     active = [is_active(sol, threshold) for sol in best]
-    # one BFS per vertex feeds the gossip charge and the election: black
-    # means active with no smaller active id within 2r
+    # one BFS to 2r per vertex feeds the gossip charge and the election:
+    # black means active with no smaller active id within 2r
     reach = 2 * r
     w = _id_width(g.n) + 1
     black = []
@@ -121,21 +120,14 @@ def _protocol(g: Graph, dtilde, eps, solve, is_active):
         deg = g.degree(v)
         if deg == 0 and not active[v]:
             continue
-        dist = g.distances_from(v)
+        order, dist, _ = g.bfs(v, reach)
         if deg:
-            hist = [0] * reach
-            for d in dist:
-                if 0 <= d < reach:
-                    hist[d] += 1
-            known = known_sum = 0
-            for h in hist:
-                known += h
-                known_sum += known
-            trace.total_bits += deg * (4 * reach + w * known_sum)
-            trace.charge(4 + known * w, 0)
-        if active[v] and not any(
-            active[u] and 0 <= dist[u] <= reach for u in range(v)
-        ):
+            # after k rounds v has heard of everything within distance k,
+            # so a vertex at distance d < 2r rides in 2r - d of its messages
+            heard = [reach - dist[u] for u in order if dist[u] < reach]
+            trace.total_bits += deg * (4 * reach + w * sum(heard))
+            trace.charge(4 + len(heard) * w, 0)
+        if active[v] and not any(active[u] and u < v for u in order):
             black.append(v)
     trace.rounds_executed += reach
     w = _id_width(g.n)

@@ -51,14 +51,12 @@ def _default_max_rounds() -> int:
 class SimConfig:
     """Execution parameters for the simulator.
 
-    The CONGEST cap is congest_cap_words * ceil(log2 n) bits per edge per
-    direction per round; `cap_bits` overrides it (used when an algorithm
-    runs on an induced subgraph but must respect the full network's cap).
+    The CONGEST cap is 2 * ceil(log2 n) bits per edge per direction per
+    round; `cap_bits` overrides it (used when an algorithm runs on an
+    induced subgraph but must respect the full network's cap).
     """
 
     model: str = LOCAL
-    bits_per_word: int = 64
-    congest_cap_words: int = 2
     enforcement: str = "strict"
     max_rounds: int = field(default_factory=_default_max_rounds)
     seed: int = 0
@@ -68,7 +66,7 @@ class SimConfig:
         if self.cap_bits is not None:
             return self.cap_bits
         logn = max(n - 1, 1).bit_length() if n > 1 else 0
-        return self.congest_cap_words * logn
+        return 2 * logn
 
 
 @dataclass
@@ -110,13 +108,6 @@ class RoundTrace:
         self.total_bits += later.total_bits * relay
         if later.max_message_bits > self.max_message_bits:
             self.max_message_bits = later.max_message_bits
-
-
-def merge_sequential(traces: Sequence[RoundTrace]) -> RoundTrace:
-    out = RoundTrace()
-    for t in traces:
-        out.then(t)
-    return out
 
 
 def merge_parallel(traces: Sequence[RoundTrace]) -> RoundTrace:
@@ -352,26 +343,25 @@ def knowledge_states(g: Graph, rounds: int):
     Vertices start knowing only their own id (plus ports); in each round
     every vertex forwards everything it knows over every incident edge.
     After k rounds a vertex knows exactly the edges with an endpoint at
-    distance <= k-1 and the vertices mentioned by those edges. Returned as
-    a canonical (sorted vertex tuple, sorted edge tuple) pair per vertex.
+    distance <= k-1 and the vertices they mention, those within distance
+    k. Returned as a canonical (sorted vertex tuple, sorted edge tuple)
+    pair per vertex.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
     out = []
     for v in range(g.n):
-        dist = g.distances_from(v)
+        order, dist, _ = g.bfs(v, rounds)
+        verts = tuple(sorted(order))
+        # each edge once, at its smaller endpoint, gives the canonical
+        # order; it is known when an endpoint lies within rounds-1
         known_edges = tuple(
-            e
-            for e in g.edges
-            if 0 <= dist[e[0]] <= rounds - 1 or 0 <= dist[e[1]] <= rounds - 1
+            (u, x)
+            for u in verts
+            for x in g.neighbors(u)
+            if x > u and (dist[u] < rounds or 0 <= dist[x] < rounds)
         )
-        verts = {v}
-        for a, b in known_edges:
-            verts.add(a)
-            verts.add(b)
-        if rounds >= 1:
-            verts.update(u for u in g.neighbors(v))
-        out.append((tuple(sorted(verts)), known_edges))
+        out.append((verts, known_edges))
     return out
 
 
@@ -388,7 +378,8 @@ def collect_ball(g: Graph, r: int, cfg: SimConfig | None = None):
     uniform width max(8, bitlen(n-1)+1).
 
     Returns (balls, trace) where balls[v] = (vertex tuple, edge tuple) of
-    the subgraph induced by {u : dist(v, u) <= r}.
+    the subgraph induced by {u : dist(v, u) <= r}. Vertices whose balls
+    hold the same vertices share one ball object.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
@@ -399,33 +390,30 @@ def collect_ball(g: Graph, r: int, cfg: SimConfig | None = None):
         )
     w = _id_width(g.n)
     trace = RoundTrace(rounds_executed=r + 1)
+    built: dict = {}
     balls = []
     for v in range(g.n):
-        dist = g.distances_from(v)
-        inside = [u for u in range(g.n) if 0 <= dist[u] <= r]
-        # one edge pass: both endpoints share a component, so dist[a] < 0
-        # alone rules an edge out; hist[d] counts edges whose nearer
-        # endpoint sits at distance d <= r
-        hist = [0] * (r + 1)
-        ball_edges = []
-        for e in g.edges:
-            near, far = dist[e[0]], dist[e[1]]
-            if near > far:
-                near, far = far, near
-            if 0 <= near <= r:
-                hist[near] += 1
-                if far <= r:
-                    ball_edges.append(e)
-        balls.append((tuple(inside), tuple(ball_edges)))
+        order, dist, near = g.bfs(v, r)
+        verts = tuple(sorted(order))
+        ball = built.get(verts)
+        if ball is None:
+            # each edge once, at its smaller endpoint: canonical order
+            edges = tuple(
+                (u, x)
+                for u in verts
+                for x in g.neighbors(u)
+                if x > u and dist[x] >= 0
+            )
+            ball = built[verts] = (verts, edges)
+        balls.append(ball)
         deg = g.degree(v)
         if deg == 0:
             continue
         # round k sends own id + the edges known after k-1 rounds, those
-        # with nearer endpoint at distance <= k-1; the last payload is largest
-        known = known_sum = 0
-        for h in hist:
-            known += h
-            known_sum += known
+        # with nearer endpoint at distance <= k-1; the last payload is
+        # largest. An edge with nearer endpoint at d is sent in r+1-d rounds.
+        known = sum(near)
+        known_sum = sum(h * (r + 1 - d) for d, h in enumerate(near))
         trace.total_bits += deg * ((r + 1) * (4 + w) + 2 * w * known_sum)
         trace.charge(4 + w + 2 * w * known, 0)
     return balls, trace

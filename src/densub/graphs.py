@@ -175,25 +175,40 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._nbrs[v]
 
-    def incident(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
+    def bfs(self, src: int, radius: int | None = None) -> tuple:
+        """Breadth-first search from src, out to `radius` hops.
 
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        return self.edges[eid]
+        Returns (order, dist, near): the vertices within the radius (the
+        whole component when radius is None) in visit order; the distance
+        of every vertex, -1 if not reached; and near[d], the number of edges
+        whose nearer endpoint is at distance d, for every level reached.
+        """
+        nbrs, dist = self._nbrs, [-1] * self.n
+        dist[src] = 0
+        order, level, near = [src], [src], []
+        while level:
+            d = len(near)
+            # edges leaving the last level count, their far ends stay -1
+            grow = radius is None or d < radius
+            nxt, count = [], 0
+            for v in level:
+                for u in nbrs[v]:
+                    du = dist[u]
+                    if du < 0:
+                        count += 1
+                        if grow:
+                            dist[u] = d + 1
+                            nxt.append(u)
+                    elif du > d or (du == d and u > v):
+                        count += 1
+            near.append(count)
+            order += nxt
+            level = nxt
+        return order, dist, near
 
     def distances_from(self, src: int) -> list[int]:
         """BFS distances from src; -1 for unreachable vertices."""
-        dist = [-1] * self.n
-        dist[src] = 0
-        q = deque([src])
-        while q:
-            v = q.popleft()
-            d = dist[v] + 1
-            for u in self._nbrs[v]:
-                if dist[u] < 0:
-                    dist[u] = d
-                    q.append(u)
-        return dist
+        return self.bfs(src)[1]
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by min vertex."""

@@ -233,7 +233,6 @@ def fractional_dual(
     eps: Fraction,
     T_override: int | None = None,
     cap_bits: int | None = None,
-    enforcement: str | None = None,
 ) -> tuple[DualSolution, RoundTrace]:
     """Averaged, (1+2*eps)-scaled grant shares per edge endpoint.
 
@@ -246,7 +245,7 @@ def fractional_dual(
     budget = _Budget.for_z(z)
     cfg = SimConfig(
         model=CONGEST,
-        enforcement=enforcement or ("strict" if g.n >= 16 else "permissive"),
+        enforcement="strict" if g.n >= 16 else "permissive",
         max_rounds=T + 2,
         cap_bits=cap_bits,
     )

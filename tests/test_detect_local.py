@@ -172,13 +172,13 @@ MIXED = DirectedGraph(
 
 def counting_bfs(monkeypatch):
     calls = []
-    original = Graph.distances_from
+    original = Graph.bfs
 
-    def counted(self, src):
-        calls.append(src)
-        return original(self, src)
+    def counted(self, src, radius=None):
+        calls.append(radius)
+        return original(self, src, radius)
 
-    monkeypatch.setattr(Graph, "distances_from", counted)
+    monkeypatch.setattr(Graph, "bfs", counted)
     return calls
 
 
@@ -208,17 +208,19 @@ class TestPinnedTraces:
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_at_most_two_bfs_per_vertex(self, monkeypatch, name):
-        # one BFS gathers the ball, one feeds both the gossip charge and
-        # the election; the winner broadcast reuses the gathered ball
+        # one BFS to r gathers the ball, one to 2r feeds both the gossip
+        # charge and the election; the winner broadcast reuses the ball
         g, dtilde, eps = PINNED[name][:3]
         calls = counting_bfs(monkeypatch)
-        local_detect(g, dtilde, eps)
-        assert len(calls) <= 2 * g.n
+        out, _ = local_detect(g, dtilde, eps)
+        assert g.n <= len(calls) <= 2 * g.n
+        assert set(calls) <= {out.radius, 2 * out.radius}
 
     def test_directed_at_most_two_bfs_per_vertex(self, monkeypatch):
         calls = counting_bfs(monkeypatch)
-        local_detect_directed(MIXED, Fraction(1), Fraction(1, 3))
-        assert len(calls) <= 2 * MIXED.n
+        out, _ = local_detect_directed(MIXED, Fraction(1), Fraction(1, 3))
+        assert MIXED.n <= len(calls) <= 2 * MIXED.n
+        assert set(calls) <= {out.radius, 2 * out.radius}
 
 
 class TestRadius:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,6 @@ from densub.engine import (
     component_aggregate,
     component_min,
     knowledge_states,
-    merge_sequential,
     msg_bits,
     run,
 )
@@ -94,14 +95,12 @@ class TestRun:
             assert trace.to_json() == base_trace.to_json()
 
     def test_congest_strict_abort(self):
-        cfg = SimConfig(model="CONGEST", congest_cap_words=2)
+        cfg = SimConfig(model="CONGEST")
         with pytest.raises(CongestViolation):
             run(complete(16), Flood(2**40), cfg)  # 48-bit token vs 8-bit cap
 
     def test_congest_permissive_records(self):
-        cfg = SimConfig(
-            model="CONGEST", congest_cap_words=2, enforcement="permissive"
-        )
+        cfg = SimConfig(model="CONGEST", enforcement="permissive")
         _, trace = run(path(4), Flood(2**40), cfg)
         assert trace.violations
         rnd, edge, bits = trace.violations[0]
@@ -319,22 +318,24 @@ class TestIdleUntil:
             run(path(3), Sleeper(10**12), SimConfig(max_rounds=10))
 
 
+def _plain_distances(g, s):
+    """{u: dist(s, u)} over the component of s, by a plain full BFS."""
+    dist = {s: 0}
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in g.neighbors(v):
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return dist
+
+
 def _bfs_diameter(g, comp):
     """Largest BFS distance between two vertices of `comp`, by plain BFS."""
-    best = 0
-    for s in comp:
-        dist = {s: 0}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in g.neighbors(v):
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        best = max(best, max(dist.values()))
-    return best
+    return max(max(_plain_distances(g, s).values()) for s in comp)
 
 
 def _grid(a, b):
@@ -366,15 +367,64 @@ class TestComponentDiameter:
         graphs += [_grid(a, b) for a, b in ((1, 1), (2, 3), (5, 5), (3, 12))]
         want = [[_bfs_diameter(g, c) for c in g.components()] for g in graphs]
 
-        def no_bfs(self, src):
-            raise AssertionError("distances_from called")
+        def no_bfs(self, src, radius=None):
+            raise AssertionError("per-source BFS called")
 
         monkeypatch.setattr(Graph, "distances_from", no_bfs)
+        monkeypatch.setattr(Graph, "bfs", no_bfs)
         got = [[_component_diameter(g, c) for c in g.components()] for g in graphs]
         assert got == want
 
 
+@st.composite
+def graph_and_radius(draw):
+    """A random graph, often with isolated vertices, and a radius from 0
+    to past its diameter."""
+    n = draw(st.integers(1, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges), draw(st.integers(0, n + 1))
+
+
 class TestCollectBall:
+    @given(graph_and_radius())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_definition(self, case):
+        g, r = case
+        w = max(8, max(g.n - 1, 1).bit_length() + 1)
+        balls, trace = collect_ball(g, r)
+        total = widest = 0
+        for v in range(g.n):
+            dist = _plain_distances(g, v)
+            inside = {u for u, d in dist.items() if d <= r}
+            edges = tuple(e for e in g.edges if set(e) <= inside)
+            assert balls[v] == (tuple(sorted(inside)), edges)
+            # round k sends v's id and every edge whose nearer endpoint
+            # lies within k-1, two ids each, to each neighbour
+            nearer = [min(dist[a], dist[b]) for a, b in g.edges if a in dist]
+            for k in range(1, r + 2):
+                bits = 4 + w + 2 * w * sum(1 for d in nearer if d <= k - 1)
+                total += g.degree(v) * bits
+                if g.degree(v):
+                    widest = max(widest, bits)
+        assert trace.to_json() == {
+            "rounds": r + 1,
+            "max_message_bits": widest,
+            "total_bits": total,
+            "violations": [],
+        }
+        for ball in balls:
+            # equal balls are one shared object
+            assert all(b is ball for b in balls if b == ball)
+
+    def test_small_radius_on_long_cycle_is_fast(self):
+        start = time.perf_counter()
+        balls, _ = collect_ball(cycle(3000), 10)
+        elapsed = time.perf_counter() - start
+        assert balls[0][0] == tuple(range(11)) + tuple(range(2990, 3000))
+        assert len(balls[0][1]) == 20
+        assert elapsed < 1.0, f"collect_ball took {elapsed:.2f}s"
+
     def test_radius_zero(self):
         balls, trace = collect_ball(path(4), 0)
         assert all(b == ((v,), ()) for v, b in enumerate(balls))
@@ -399,6 +449,19 @@ class TestCollectBall:
 
 
 class TestKnowledgeStates:
+    @given(graph_and_radius())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_definition(self, case):
+        g, k = case
+        states = knowledge_states(g, k)
+        for v in range(g.n):
+            dist = _plain_distances(g, v)
+            verts = tuple(sorted(u for u, d in dist.items() if d <= k))
+            edges = tuple(
+                e for e in g.edges if any(u in dist and dist[u] < k for u in e)
+            )
+            assert states[v] == (verts, edges)
+
     def test_round1_views_identical_on_lowerbound_pair(self):
         # the 1/(10*eps)-round state of the middle vertex is bit-identical
         g1, g2 = lowerbound_pair(Fraction(1, 10))
@@ -446,15 +509,6 @@ class TestComponentAggregates:
 
 
 class TestRoundTrace:
-    def test_merge_sequential_offsets_violations(self):
-        a = RoundTrace(5, 10, 100, [(2, 0, 12)])
-        b = RoundTrace(3, 20, 50, [(1, 1, 25)])
-        m = merge_sequential([a, b])
-        assert m.rounds_executed == 8
-        assert m.max_message_bits == 20
-        assert m.total_bits == 150
-        assert m.violations == [(2, 0, 12), (6, 1, 25)]
-
     def test_charge_zero_copies_raises_max_only(self):
         t = RoundTrace(2, 8, 40, [])
         t.charge(12, 0)

@@ -56,8 +56,8 @@ class TestGraphInvariants:
         g = erdos_renyi(30, 0.2, seed=5)
         appearances = [0] * g.m
         for v in range(g.n):
-            for eid in g.incident(v):
-                assert v in g.endpoints(eid)
+            for eid in g.adj[v]:
+                assert v in g.edges[eid]
                 appearances[eid] += 1
         assert all(c == 2 for c in appearances)
 
