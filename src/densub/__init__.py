@@ -25,7 +25,6 @@ from .graphs import (
     DirectedGraph,
     Graph,
     Orientation,
-    Rational,
     Subset,
     density,
     directed_density,
@@ -76,7 +75,6 @@ __all__ = [
     "DirectedDensity",
     "DirectedGraph",
     "Graph",
-    "Rational",
     "Subset",
     "density",
     "directed_density",

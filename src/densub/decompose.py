@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import CONGEST, RoundTrace, SimConfig, VertexProgram, run
+from .engine import RoundTrace, SimConfig, VertexProgram, run
 from .graphs import Graph, ceil_ln
 
 __all__ = ["Clustering", "ldd", "ldd_traced", "shift_budget"]
@@ -77,20 +77,14 @@ class _ClusterRace(VertexProgram):
 
 
 def ldd_traced(
-    g: Graph, eps: Fraction, seed: int, cap_bits: int | None = None
+    g: Graph, eps: Fraction, seed: int
 ) -> tuple[Clustering, RoundTrace]:
     """Clustering plus the round/bit trace of the claim race."""
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
     budget = shift_budget(g.n, eps)
-    cfg = SimConfig(
-        model=CONGEST,
-        enforcement="permissive" if g.n < 16 else "strict",
-        max_rounds=budget + 2,
-        seed=seed,
-        cap_bits=cap_bits,
-    )
+    cfg = SimConfig.congest(g.n, budget + 2, seed=seed)
     centers_of, trace = run(g, _ClusterRace(budget, float(eps)), cfg)
     cut = sum(1 for u, v in g.edges if centers_of[u] != centers_of[v])
     centers = tuple(sorted({c for c in centers_of}))

@@ -32,7 +32,7 @@ from .mwu import integral_primal
 
 __all__ = ["congest_detect", "approx_densest", "default_trials", "phase_count"]
 
-DEFAULT_PRIMAL_ITERATIONS = 64
+PRIMAL_ITERATIONS = 64
 
 
 def _mix(seed: int, salt: int) -> int:
@@ -49,7 +49,6 @@ def congest_detect(
     eps: Fraction,
     seed: int,
     trials_override: int | None = None,
-    primal_iterations: int = DEFAULT_PRIMAL_ITERATIONS,
 ) -> tuple[Subset, RoundTrace]:
     """Mark a vertex set of density at least (1-eps)*dtilde, CONGEST model.
 
@@ -68,9 +67,11 @@ def congest_detect(
         raise ValueError("eps must lie in (0, 1/4)")
     if dtilde < 0:
         raise ValueError("dtilde must be non-negative")
+    trials = default_trials(g.n) if trials_override is None else trials_override
+    if trials < 1:
+        raise ValueError(f"trials_override must be positive, got {trials}")
     if dtilde == 0:
         return Subset(g.n, range(g.n)), RoundTrace()
-    trials = trials_override or default_trials(g.n)
     cap = SimConfig().cap_for(g.n)
     z = (1 - eps / 2) * dtilde
     eps_inner = eps / 8
@@ -80,9 +81,7 @@ def congest_detect(
     misses: dict[tuple[int, ...], RoundTrace | None] = {}
     trace = RoundTrace()
     for trial in range(trials):
-        clustering, ldd_trace = ldd_traced(
-            g, eps / 2, _mix(seed, trial), cap_bits=cap
-        )
+        clustering, ldd_trace = ldd_traced(g, eps / 2, _mix(seed, trial))
         trace.then(ldd_trace)
         # cluster-local OR over marked bits: up+down a BFS tree whose depth
         # is bounded by the clustering budget, one 8-bit word each way
@@ -103,7 +102,7 @@ def congest_detect(
                 got = ptrace = None
                 if sub.m:
                     got, ptrace = integral_primal(
-                        sub, z, eps_inner, T_override=primal_iterations,
+                        sub, z, eps_inner, T_override=PRIMAL_ITERATIONS,
                         cap_bits=cap,
                     )
                 if got is None:
@@ -132,7 +131,7 @@ def phase_count(n: int, eps: Fraction) -> int:
 
 
 def approx_densest(
-    g: Graph, eps: Fraction, seed: int, **detect_kwargs
+    g: Graph, eps: Fraction, seed: int
 ) -> tuple[Subset, Fraction, RoundTrace]:
     """(1-eps)-approximate densest subgraph via geometric guessing.
 
@@ -151,9 +150,7 @@ def approx_densest(
     trace = RoundTrace()
     guess = Fraction(1)
     for i in range(phases):
-        sub, tr = congest_detect(
-            g, guess, eps, _mix(seed, 1000 + i), **detect_kwargs
-        )
+        sub, tr = congest_detect(g, guess, eps, _mix(seed, 1000 + i))
         trace.then(tr)
         phase_marks.append(sub)
         for v in sub.members:

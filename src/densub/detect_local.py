@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decompose import shift_budget
-from .engine import RoundTrace, _id_width, collect_ball
+from .engine import RoundTrace, collect_ball, msg_bits
 from .graphs import DirectedGraph, Graph, Subset, density, format_ratio
 from . import oracle
 
@@ -114,7 +114,7 @@ def _protocol(g: Graph, dtilde, eps, solve, is_active):
     # one BFS to 2r per vertex feeds the gossip charge and the election:
     # black means active with no smaller active id within 2r
     reach = 2 * r
-    w = _id_width(g.n) + 1
+    w = msg_bits(g.n - 1) + 1
     black = []
     for v in range(g.n):
         deg = g.degree(v)
@@ -130,7 +130,7 @@ def _protocol(g: Graph, dtilde, eps, solve, is_active):
         if active[v] and not any(active[u] and u < v for u in order):
             black.append(v)
     trace.rounds_executed += reach
-    w = _id_width(g.n)
+    w = msg_bits(g.n - 1)
     for v in black:
         payload = 4 + sum(len(s) for s in best[v][0]) * w
         trace.charge(payload, 2 * len(balls[v][1]) * (r + 1))

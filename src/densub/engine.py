@@ -62,6 +62,16 @@ class SimConfig:
     seed: int = 0
     cap_bits: int | None = None
 
+    @classmethod
+    def congest(
+        cls, n: int, max_rounds: int, seed: int = 0, cap_bits: int | None = None
+    ) -> "SimConfig":
+        """A CONGEST run on n vertices. The cap is enforced from 16 vertices
+        on; below that, where it can be narrower than the 8-bit minimum
+        word, oversized messages are only recorded as violations."""
+        enforcement = "strict" if n >= 16 else "permissive"
+        return cls(CONGEST, enforcement, max_rounds, seed, cap_bits)
+
     def cap_for(self, n: int) -> int:
         if self.cap_bits is not None:
             return self.cap_bits
@@ -365,17 +375,12 @@ def knowledge_states(g: Graph, rounds: int):
     return out
 
 
-def _id_width(n: int) -> int:
-    return max(8, (max(n - 1, 1)).bit_length() + 1)
-
-
-def collect_ball(g: Graph, r: int, cfg: SimConfig | None = None):
+def collect_ball(g: Graph, r: int):
     """Exact induced subgraph on every r-ball, via r+1 gossip rounds.
 
-    Only meaningful with unbounded messages; under strict CONGEST this is
-    an error. Rounds charged: r+1. Bits charged: every vertex forwards its
-    current knowledge to each neighbor each round, every id costing the
-    uniform width max(8, bitlen(n-1)+1).
+    A LOCAL primitive: its messages are unbounded. Rounds charged: r+1.
+    Bits charged: every vertex forwards its current knowledge to each
+    neighbor each round, every id costing msg_bits(n-1).
 
     Returns (balls, trace) where balls[v] = (vertex tuple, edge tuple) of
     the subgraph induced by {u : dist(v, u) <= r}. Vertices whose balls
@@ -383,12 +388,7 @@ def collect_ball(g: Graph, r: int, cfg: SimConfig | None = None):
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
-    if cfg is not None and cfg.model == CONGEST and cfg.enforcement == "strict":
-        raise ValueError(
-            "collect_ball sends unbounded messages; not available under "
-            "strict CONGEST enforcement"
-        )
-    w = _id_width(g.n)
+    w = msg_bits(g.n - 1)
     trace = RoundTrace(rounds_executed=r + 1)
     built: dict = {}
     balls = []

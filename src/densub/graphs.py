@@ -15,10 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Graph",
     "DirectedGraph",
     "Subset",

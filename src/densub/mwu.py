@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import (
-    CONGEST,
     RoundTrace,
     SimConfig,
     VertexProgram,
     _component_diameter,
+    msg_bits,
     run,
 )
 from .graphs import (
@@ -178,13 +178,19 @@ class DualSolution:
         }
 
 
-def _check_pre(z: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
+def _check_pre(
+    n: int, z: Fraction, eps: Fraction, T_override: int | None
+) -> tuple[Fraction, Fraction, int]:
+    """Checked z and eps, and the iteration count (T_override or default)."""
     z, eps = Fraction(z), Fraction(eps)
     if z <= 0:
         raise ValueError("z must be positive")
     if not (0 < eps <= Fraction(1, 4)):
         raise ValueError("eps must lie in (0, 1/4]")
-    return z, eps
+    T = default_iterations(n, eps) if T_override is None else T_override
+    if T < 1:
+        raise ValueError(f"T_override must be positive, got {T}")
+    return z, eps, T
 
 
 def _numeric_width(value: Fraction) -> int:
@@ -232,7 +238,6 @@ def fractional_dual(
     z: Fraction,
     eps: Fraction,
     T_override: int | None = None,
-    cap_bits: int | None = None,
 ) -> tuple[DualSolution, RoundTrace]:
     """Averaged, (1+2*eps)-scaled grant shares per edge endpoint.
 
@@ -240,15 +245,9 @@ def fractional_dual(
     for the orientation LP at cost (1+2*eps)*z (checked exactly and
     reported in the solution's `feasible` flag).
     """
-    z, eps = _check_pre(z, eps)
-    T = T_override or default_iterations(g.n, eps)
+    z, eps, T = _check_pre(g.n, z, eps, T_override)
     budget = _Budget.for_z(z)
-    cfg = SimConfig(
-        model=CONGEST,
-        enforcement="strict" if g.n >= 16 else "permissive",
-        max_rounds=T + 2,
-        cap_bits=cap_bits,
-    )
+    cfg = SimConfig.congest(g.n, T + 2)
     outs, trace = run(g, _LoadProgram(budget, T), cfg)
     return _assemble_dual(g, outs, z, eps, T), trace
 
@@ -314,8 +313,7 @@ class _PrimalDetector:
         self.trace = RoundTrace()
 
     def _charge_word(self, value: int, copies: int) -> None:
-        # value >= 0, sized by msg_bits' int rule
-        bits = max(8, value.bit_length() + 1)
+        bits = msg_bits(value)
         self.trace.charge(bits, copies)
         if bits > self.cap and copies > 0:
             self.trace.violations.append(
@@ -410,17 +408,10 @@ def integral_primal(
     passing the exact density test is returned and the run stops. No
     output within the iteration budget is a legal outcome.
     """
-    z, eps = _check_pre(z, eps)
-    T = T_override or default_iterations(g.n, eps)
+    z, eps, T = _check_pre(g.n, z, eps, T_override)
     budget = _Budget.for_z(z)
-    cfg = SimConfig(
-        model=CONGEST,
-        enforcement="strict" if g.n >= 16 else "permissive",
-        max_rounds=T + 2,
-        cap_bits=cap_bits,
-    )
-    cap = cap_bits if cap_bits is not None else cfg.cap_for(g.n)
-    detector = _PrimalDetector(g, z, eps, cap)
+    cfg = SimConfig.congest(g.n, T + 2, cap_bits=cap_bits)
+    detector = _PrimalDetector(g, z, eps, cfg.cap_for(g.n))
     found: dict = {}
 
     def hook(rnd: int, states) -> bool:

@@ -35,7 +35,6 @@ class OracleResult:
 
     best_subset: object  # Subset, or (Subset, Subset) for directed pairs
     value: Fraction
-    method: str
 
 
 class _Dinic:
@@ -298,7 +297,7 @@ def exact_densest(g: Graph) -> OracleResult:
             for u, v in g.edges
         ]
     _check_certificate(g, witness, lo, den, give)
-    return OracleResult(Subset(g.n, sorted(witness)), lo, "flow")
+    return OracleResult(Subset(g.n, sorted(witness)), lo)
 
 
 def brute_densest(g: Graph) -> OracleResult:
@@ -331,7 +330,7 @@ def brute_densest(g: Graph) -> OracleResult:
         ):
             best = d
             best_mask = mask
-    return OracleResult(Subset(g.n, _mask_ids(best_mask)), best, "brute")
+    return OracleResult(Subset(g.n, _mask_ids(best_mask)), best)
 
 
 def _mask_ids(mask: int) -> tuple[int, ...]:
@@ -372,7 +371,7 @@ def brute_directed_densest(g: DirectedGraph) -> OracleResult:
                     Subset(g.n, s_ids),
                     Subset(g.n, _mask_ids(t_mask)),
                 )
-    return OracleResult(best_pair, best_sq, "brute")
+    return OracleResult(best_pair, best_sq)
 
 
 def witness_orientation(g: Graph, alpha: int) -> Orientation | None:

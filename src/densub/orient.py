@@ -39,19 +39,13 @@ from fractions import Fraction
 
 from .engine import RoundTrace, msg_bits
 from .graphs import Graph, Orientation, ceil_log2, is_neg_pow2
-from .mwu import (
-    alpha_bit_width,
-    alpha_fraction_bits,
-    default_iterations,
-    fractional_dual,
-)
+from .mwu import alpha_bit_width, alpha_fraction_bits, fractional_dual
 
 __all__ = [
     "Orientation",
     "PathDecomposition",
     "WeakOrientationResult",
     "weak_orientation",
-    "weak_orientation_detailed",
     "path_decompose",
     "directed_split",
     "split_levels",
@@ -97,7 +91,7 @@ class WeakOrientationResult:
 
 
 def _weak_orient_edges(
-    n: int, edges: list[tuple[int, int]], phase_budget: int | None = None
+    n: int, edges: list[tuple[int, int]]
 ) -> WeakOrientationResult:
     """Sinkless orientation of the degree-3 split multigraph.
 
@@ -130,8 +124,7 @@ def _weak_orient_edges(
     for h in hp:
         indeg[ec[h]] += 1
 
-    if phase_budget is None:
-        phase_budget = 8 * max(max(n, 2) - 1, 1).bit_length()
+    phase_budget = 8 * max(max(n, 2) - 1, 1).bit_length()
     trace = RoundTrace()
     sink_history: list[int] = []
     # a sink is a full copy with three incoming edges
@@ -225,14 +218,9 @@ def _weak_orient_edges(
     return WeakOrientationResult(orientation, phases, sink_history, trace)
 
 
-def weak_orientation_detailed(g: Graph) -> WeakOrientationResult:
-    return _weak_orient_edges(g.n, list(g.edges))
-
-
-def weak_orientation(g: Graph) -> tuple[Orientation, int]:
+def weak_orientation(g: Graph) -> WeakOrientationResult:
     """Orientation with outdeg(v) >= floor(deg(v)/3) for every vertex."""
-    res = weak_orientation_detailed(g)
-    return res.orientation, res.phases
+    return _weak_orient_edges(g.n, list(g.edges))
 
 
 def _decompose_edges(
@@ -329,9 +317,9 @@ def _split_edge_list(
     return Orientation(n, tuple(edges), tuple(dir_bits)), trace
 
 
-def directed_split(g: Graph, eps: Fraction) -> Orientation:
+def directed_split(g: Graph, eps: Fraction) -> tuple[Orientation, RoundTrace]:
     """Orientation with |outdeg(v) - indeg(v)| <= eps*deg(v) + 12."""
-    return _split_edge_list(g.n, list(g.edges), Fraction(eps))[0]
+    return _split_edge_list(g.n, list(g.edges), Fraction(eps))
 
 
 @dataclass
@@ -347,9 +335,7 @@ class IterationRecord:
 class OrientReport:
     orientation: Orientation
     trace: RoundTrace
-    fraction_bits: int
     iterations: list[IterationRecord] = field(default_factory=list)
-    guaranteed_bound: Fraction | None = None
 
 
 def orient_low_outdegree_detailed(
@@ -373,21 +359,20 @@ def orient_low_outdegree_detailed(
         raise ValueError("need 32/dtilde <= eps <= 1/4")
     if g.m == 0:
         o = Orientation(g.n, g.edges, ())
-        return OrientReport(o, RoundTrace(), 0, [], Fraction(dtilde))
+        return OrientReport(o, RoundTrace())
     eps1 = eps / 8
     eps2 = eps / 8
-    eps_dual = eps1 / 2
-    T = T_override or default_iterations(g.n, eps_dual)
-    sol, trace = fractional_dual(g, Fraction(dtilde), eps_dual, T_override=T)
+    sol, trace = fractional_dual(
+        g, Fraction(dtilde), eps1 / 2, T_override=T_override
+    )
     if not sol.feasible:
         raise RuntimeError(
             "fractional solution infeasible; raise the iteration count "
             "or check that dtilde is at least the maximum density"
         )
     alpha_bit_width(sol)  # asserts the serialized-width guarantee
-    frac_bits = alpha_fraction_bits(sol)
     delta = g.max_degree()
-    t = min(frac_bits, ceil_log2(Fraction(delta) / eps2))
+    t = min(alpha_fraction_bits(sol), ceil_log2(Fraction(delta) / eps2))
     scale = 1 << t
     nu = [0] * g.m
     nv = [0] * g.m
@@ -458,7 +443,7 @@ def orient_low_outdegree_detailed(
     trace.rounds_executed += 1
     trace.charge(8, g.m)
     orientation = Orientation(g.n, g.edges, tuple(dir_bits))
-    return OrientReport(orientation, trace, frac_bits, records, bound)
+    return OrientReport(orientation, trace, records)
 
 
 def orient_low_outdegree(

@@ -4,7 +4,7 @@ import pytest
 
 from densub import oracle
 from densub.cli import main
-from densub.graphs import Graph, complete, cycle, write_edge_list
+from densub.graphs import Graph, complete, cycle, erdos_renyi, write_edge_list
 
 
 @pytest.fixture
@@ -163,10 +163,46 @@ class TestCli:
         code, payload = run_json(capsys, ["weak-orient", "--in", k5_file])
         assert code == 0 and payload["check"]["pass"] is True
 
+    @pytest.mark.parametrize(
+        "argv,trace",
+        [
+            (["split", "--eps", "1/8"], [972, 9, 22_166]),
+            (["weak-orient"], [58, 9, 4_511]),
+        ],
+        ids=["split", "weak-orient"],
+    )
+    def test_splitters_report_their_trace(self, capsys, tmp_path, argv, trace):
+        # the pinned split_g40 and weak_g40 traces of test_charged_traces
+        p = tmp_path / "g40.el"
+        g40 = erdos_renyi(40, 0.3, seed=0)
+        p.write_text(write_edge_list(g40), encoding="utf-8")
+        code, payload = run_json(capsys, argv + ["--in", str(p)])
+        assert code == 0 and payload["check"]["pass"] is True
+        rounds, widest, total = trace
+        assert payload["trace"] == {
+            "rounds": rounds,
+            "max_message_bits": widest,
+            "total_bits": total,
+            "violations": [],
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dual", "--z", "2/1", "--eps", "1/8", "--T", "0"],
+            ["primal", "--z", "1/1", "--eps", "1/8", "--T", "-3"],
+            ["detect-congest", "--dtilde", "2/1", "--eps", "1/8", "--trials", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_non_positive_count_is_an_input_error(self, capsys, k5_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--in", k5_file])
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: must be positive" in capsys.readouterr().err
+
     def test_ldd(self, capsys, tmp_path):
         p = tmp_path / "g.el"
-        from densub.graphs import erdos_renyi
-
         p.write_text(write_edge_list(erdos_renyi(32, 0.2, 5)), encoding="utf-8")
         code, payload = run_json(
             capsys, ["ldd", "--in", str(p), "--eps", "1/4", "--seed", "7"]

@@ -99,6 +99,13 @@ class TestCongestDetect:
         with pytest.raises(ValueError):
             congest_detect(complete(4), Fraction(1), Fraction(1, 2), seed=0)
 
+    @pytest.mark.parametrize("dtilde", [0, 1])
+    def test_rejects_non_positive_trials(self, dtilde):
+        with pytest.raises(ValueError, match="trials_override must be positive"):
+            congest_detect(
+                complete(4), dtilde, Fraction(1, 8), seed=0, trials_override=0
+            )
+
     def test_determinism(self):
         g = erdos_renyi(20, 0.4, seed=9)
         a = congest_detect(g, Fraction(2), Fraction(1, 8), seed=5)

@@ -443,10 +443,6 @@ class TestCollectBall:
         b2, _ = collect_ball(g2, 1)
         assert b1[2] == b2[2]
 
-    def test_strict_congest_rejected(self):
-        with pytest.raises(ValueError):
-            collect_ball(path(3), 1, SimConfig(model="CONGEST"))
-
 
 class TestKnowledgeStates:
     @given(graph_and_radius())

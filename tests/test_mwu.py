@@ -120,6 +120,13 @@ class TestFractionalDual:
         with pytest.raises(ValueError):
             fractional_dual(complete(3), Fraction(1), Fraction(1, 2))
 
+    @pytest.mark.parametrize("solve", [fractional_dual, integral_primal])
+    @pytest.mark.parametrize("T", [0, -3])
+    def test_rejects_non_positive_T(self, solve, T):
+        # 0 once fell through to the theory default, -3 to the engine
+        with pytest.raises(ValueError, match="T_override must be positive"):
+            solve(complete(3), Fraction(1), Fraction(1, 8), T_override=T)
+
     def test_feasible_flag_matches_fraction_recomputation(self):
         # the flag is decided on integer grant totals; recompute it from
         # the reported alpha in plain Fractions, on sweeps that reach the

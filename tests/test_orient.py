@@ -17,7 +17,6 @@ from densub.orient import (
     path_decompose,
     split_levels,
     weak_orientation,
-    weak_orientation_detailed,
 )
 
 
@@ -46,40 +45,40 @@ def random_regular_ish(n, d, seed):
 class TestWeakOrientation:
     def test_triangle_trivial(self):
         g = complete(3)
-        o, phases = weak_orientation(g)
+        res = weak_orientation(g)
         # floor(2/3) = 0: any orientation qualifies, and no degree-2 copy
         # can ever be a sink, so no phases are needed
-        assert phases == 0
-        assert all(o.outdegs()[v] >= 0 for v in range(3))
+        assert res.phases == 0
+        assert all(res.orientation.outdegs()[v] >= 0 for v in range(3))
 
     def test_k4_every_vertex_out(self):
         g = complete(4)
-        o, _ = weak_orientation(g)
+        o = weak_orientation(g).orientation
         assert all(d >= 1 for d in o.outdegs())  # floor(3/3) = 1
 
     def test_guarantee_on_random_graphs(self):
         rng = random.Random(1)
         for trial in range(25):
             g = erdos_renyi(rng.randint(4, 60), 0.3, seed=trial)
-            o, phases = weak_orientation(g)
-            outs = o.outdegs()
+            res = weak_orientation(g)
+            outs = res.orientation.outdegs()
             for v in range(g.n):
                 assert outs[v] >= g.degree(v) // 3
-            assert phases <= 8 * max(g.n - 1, 1).bit_length()
+            assert res.phases <= 8 * max(g.n - 1, 1).bit_length()
 
     def test_three_regular(self):
         for seed in range(10):
             g = random_regular_ish(64, 3, seed)
-            o, phases = weak_orientation(g)
-            outs = o.outdegs()
+            res = weak_orientation(g)
+            outs = res.orientation.outdegs()
             for v in range(g.n):
                 assert outs[v] >= g.degree(v) // 3
-            assert phases <= 8 * 6
+            assert res.phases <= 8 * 6
 
     def test_sink_history_strictly_decreasing(self):
         for seed in range(10):
             g = erdos_renyi(40, 0.5, seed=100 + seed)
-            res = weak_orientation_detailed(g)
+            res = weak_orientation(g)
             hist = res.sink_history
             for a, b in zip(hist, hist[1:]):
                 assert b < a
@@ -89,7 +88,7 @@ class TestWeakOrientation:
 
     def test_orientation_text(self):
         g = path(3)
-        o, _ = weak_orientation(g)
+        o = weak_orientation(g).orientation
         text = o.to_text()
         assert len(text.strip().splitlines()) == 2
         assert "->" in text or "<-" in text
@@ -198,21 +197,21 @@ class TestPathDecompose:
 class TestDirectedSplit:
     def test_even_cycle(self):
         g = cycle(8)
-        o = directed_split(g, Fraction(1, 4))
+        o, _ = directed_split(g, Fraction(1, 4))
         outs, ins = o.outdegs(), o.indegs()
         for v in range(8):
             assert abs(outs[v] - ins[v]) <= Fraction(1, 4) * 2 + 12
 
     def test_k33(self):
         g = complete(33)
-        o = directed_split(g, Fraction(1, 4))
+        o, _ = directed_split(g, Fraction(1, 4))
         outs, ins = o.outdegs(), o.indegs()
         for v in range(33):
             assert abs(outs[v] - ins[v]) <= 8 + 12
 
     def test_star_96(self):
         g = star(96)
-        o = directed_split(g, Fraction(1, 8))
+        o, _ = directed_split(g, Fraction(1, 8))
         outs, ins = o.outdegs(), o.indegs()
         assert abs(outs[0] - ins[0]) <= 96 // 8 + 12
 
@@ -221,7 +220,7 @@ class TestDirectedSplit:
         for trial in range(10):
             g = erdos_renyi(rng.randint(10, 48), 0.5, seed=trial)
             for eps in (Fraction(1, 4), Fraction(1, 8)):
-                o = directed_split(g, eps)
+                o, _ = directed_split(g, eps)
                 outs, ins = o.outdegs(), o.indegs()
                 for v in range(g.n):
                     assert abs(outs[v] - ins[v]) <= eps * g.degree(v) + 12
