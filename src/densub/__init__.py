@@ -2,6 +2,8 @@
 LOCAL and CONGEST message-passing models and verified against exact
 centralized oracles."""
 
+import types as _types
+
 from .decompose import Clustering, ldd, ldd_traced
 from .detect_congest import approx_densest, congest_detect
 from .detect_local import (
@@ -54,49 +56,10 @@ from .orient import (
     weak_orientation,
 )
 
+# the public API is every name imported above
 __all__ = [
-    "Clustering",
-    "ldd",
-    "ldd_traced",
-    "approx_densest",
-    "congest_detect",
-    "DetectionOutput",
-    "DirectedDetectionOutput",
-    "local_detect",
-    "local_detect_directed",
-    "RoundTrace",
-    "SimConfig",
-    "VertexProgram",
-    "collect_ball",
-    "component_min",
-    "knowledge_states",
-    "msg_bits",
-    "run",
-    "DirectedDensity",
-    "DirectedGraph",
-    "Graph",
-    "Subset",
-    "density",
-    "directed_density",
-    "generate",
-    "lowerbound_pair",
-    "read_edge_list",
-    "write_edge_list",
-    "DualSolution",
-    "alpha_bit_width",
-    "fractional_dual",
-    "integral_primal",
-    "OracleResult",
-    "brute_densest",
-    "brute_directed_densest",
-    "exact_densest",
-    "min_max_outdegree",
-    "Orientation",
-    "PathDecomposition",
-    "directed_split",
-    "orient_low_outdegree",
-    "path_decompose",
-    "weak_orientation",
+    k for k, v in globals().items()
+    if not k.startswith("_") and not isinstance(v, _types.ModuleType)
 ]
 
 __version__ = "0.1.0"

@@ -63,7 +63,7 @@ def _parse_params(text: str | None) -> dict:
         for item in text.split(","):
             key, _, value = item.partition("=")
             if not _:
-                raise SystemExit(f"bad --params entry {item!r}; want key=value")
+                raise UsageError(f"bad --params entry {item!r}; want key=value")
             out[key.strip()] = value.strip()
     return out
 
@@ -106,7 +106,7 @@ def cmd_gen(args) -> int:
     made = G.generate(args.kind, params, args.seed)
     if isinstance(made, tuple):
         if not args.out:
-            raise SystemExit("--out is required for lowerbound_pair")
+            raise UsageError("--out is required for lowerbound_pair")
         names = [args.out + ".cycle", args.out + ".path"]
         for g, name in zip(made, names):
             with open(name, "w", encoding="utf-8") as f:
@@ -348,106 +348,92 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class UsageError(ValueError):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="densub",
         description="dense subgraph detection and low-outdegree orientation "
         "on a simulated LOCAL/CONGEST network",
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("gen", help="generate an instance")
+    def command(name, func, help, infile=True):
+        sp = sub.add_parser(name, help=help)
+        if infile:
+            sp.add_argument("--in", dest="infile", required=True)
+        sp.add_argument("--out", default=None)
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = command("gen", cmd_gen, "generate an instance", infile=False)
     sp.add_argument("--kind", required=True)
     sp.add_argument("--params", default=None, help="comma list key=value")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_gen)
 
-    sp = sub.add_parser("exact", help="exact densest subgraph oracle")
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = command("exact", cmd_exact, "exact densest subgraph oracle")
     sp.add_argument("--brute", action="store_true")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_exact)
 
-    sp = sub.add_parser("detect-local", help="LOCAL-model detection")
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = command("detect-local", cmd_detect_local, "LOCAL-model detection")
     sp.add_argument("--dtilde", required=True)
     sp.add_argument("--eps", required=True)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_detect_local)
 
-    sp = sub.add_parser("detect-congest", help="CONGEST-model detection")
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = command("detect-congest", cmd_detect_congest, "CONGEST-model detection")
     sp.add_argument("--dtilde", required=True)
     sp.add_argument("--eps", required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=_positive_int, default=None)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_detect_congest)
 
-    sp = sub.add_parser("approx", help="(1-eps)-approximate densest subgraph")
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = command("approx", cmd_approx, "(1-eps)-approximate densest subgraph")
     sp.add_argument("--eps", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_approx)
 
     T_help = (
         "MWU iterations, one engine round each; default: the theory-grade "
         "ceil((8/eps^2) ln n) rounded up to a power of 2, at eps/16 for "
         "orient (2^20 rounds for n = 257 at eps 1/8: over 8 minutes)"
     )
-    sp = sub.add_parser("dual", help="fractional orientation LP solver")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--z", required=True)
-    sp.add_argument("--eps", required=True)
-    sp.add_argument("--T", type=_positive_int, default=None, help=T_help)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_dual)
+    for name, func, help in [
+        ("dual", cmd_dual, "fractional orientation LP solver"),
+        ("primal", cmd_primal, "load-guided dense subgraph search"),
+    ]:
+        sp = command(name, func, help)
+        sp.add_argument("--z", required=True)
+        sp.add_argument("--eps", required=True)
+        sp.add_argument("--T", type=_positive_int, default=None, help=T_help)
 
-    sp = sub.add_parser("primal", help="load-guided dense subgraph search")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--z", required=True)
-    sp.add_argument("--eps", required=True)
-    sp.add_argument("--T", type=_positive_int, default=None, help=T_help)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_primal)
-
-    sp = sub.add_parser("orient", help="(1+eps)*dtilde outdegree orientation")
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = command("orient", cmd_orient, "(1+eps)*dtilde outdegree orientation")
     sp.add_argument("--dtilde", type=int, required=True)
     sp.add_argument("--eps", required=True)
     sp.add_argument("--T", type=_positive_int, default=None, help=T_help)
-    sp.add_argument("--out", default=None)
     sp.add_argument("--orient-out", default=None)
-    sp.set_defaults(func=cmd_orient)
 
-    sp = sub.add_parser("split", help="balanced in/out orientation")
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = command("split", cmd_split, "balanced in/out orientation")
     sp.add_argument("--eps", required=True)
-    sp.add_argument("--out", default=None)
     sp.add_argument("--orient-out", default=None)
-    sp.set_defaults(func=cmd_split)
 
-    sp = sub.add_parser("weak-orient", help="floor(deg/3) weak orientation")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", default=None)
+    sp = command("weak-orient", cmd_weak_orient, "floor(deg/3) weak orientation")
     sp.add_argument("--orient-out", default=None)
-    sp.set_defaults(func=cmd_weak_orient)
 
-    sp = sub.add_parser("ldd", help="low-diameter clustering")
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = command("ldd", cmd_ldd, "low-diameter clustering")
     sp.add_argument("--eps", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_ldd)
 
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand. Input errors, argparse's included, are one JSON
+    {"error", "message"} object on stdout with exit code 2."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stdout.write(

@@ -68,9 +68,9 @@ class _ClusterRace(VertexProgram):
         if rnd >= state["wake"] and (center is None or ctx.vertex < center):
             center = ctx.vertex
         if center is None:
-            return state, {}, False
+            return state, (), False
         state = {"wake": state["wake"], "center": center}
-        return state, {e: center for e in ctx.incident}, True
+        return state, [(center, range(ctx.degree))], True
 
     def output(self, ctx, state):
         return state["center"]

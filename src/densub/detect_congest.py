@@ -23,8 +23,8 @@ from .engine import (
     _MIX1,
     _MIX2,
     RoundTrace,
-    SimConfig,
     component_min,
+    congest_cap,
     merge_parallel,
 )
 from .graphs import Graph, Subset, density
@@ -72,7 +72,7 @@ def congest_detect(
         raise ValueError(f"trials_override must be positive, got {trials}")
     if dtilde == 0:
         return Subset(g.n, range(g.n)), RoundTrace()
-    cap = SimConfig().cap_for(g.n)
+    cap = congest_cap(g.n)
     z = (1 - eps / 2) * dtilde
     eps_inner = eps / 8
     marked = [False] * g.n

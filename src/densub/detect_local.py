@@ -120,7 +120,7 @@ def _protocol(g: Graph, dtilde, eps, solve, is_active):
         deg = g.degree(v)
         if deg == 0 and not active[v]:
             continue
-        order, dist, _ = g.bfs(v, reach)
+        order, dist, _ = g.bfs(v, reach, count=False)
         if deg:
             # after k rounds v has heard of everything within distance k,
             # so a vertex at distance d < 2r rides in 2r - d of its messages

@@ -1,8 +1,8 @@
 """Round-synchronous execution of per-vertex programs in LOCAL or CONGEST.
 
-The generic `run` loop delivers messages edge by edge with exact bit
-accounting and deterministic results regardless of the order vertices are
-stepped in. LOCAL-model neighborhood gossip and spanning-tree aggregates are
+The generic `run` loop delivers each message on the ports it names, sized
+once, with exact bit accounting and deterministic results regardless of
+the order vertices are stepped in. LOCAL-model neighborhood gossip and spanning-tree aggregates are
 provided as engine primitives: their per-vertex results are computed
 directly from the graph while rounds and bits are charged according to the
 fixed protocol they stand for (see the respective docstrings).
@@ -11,7 +11,6 @@ fixed protocol they stand for (see the respective docstrings).
 from __future__ import annotations
 
 import heapq
-import os
 import random as _random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -20,6 +19,7 @@ from .graphs import Graph
 
 __all__ = [
     "SimConfig",
+    "congest_cap",
     "RoundTrace",
     "VertexContext",
     "VertexProgram",
@@ -42,11 +42,6 @@ _MIX3 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
 
-def _default_max_rounds() -> int:
-    env = os.environ.get("SIM_MAX_ROUNDS")
-    return int(env) if env else 1_000_000
-
-
 @dataclass
 class SimConfig:
     """Execution parameters for the simulator.
@@ -58,7 +53,7 @@ class SimConfig:
 
     model: str = LOCAL
     enforcement: str = "strict"
-    max_rounds: int = field(default_factory=_default_max_rounds)
+    max_rounds: int = 1_000_000
     seed: int = 0
     cap_bits: int | None = None
 
@@ -73,10 +68,12 @@ class SimConfig:
         return cls(CONGEST, enforcement, max_rounds, seed, cap_bits)
 
     def cap_for(self, n: int) -> int:
-        if self.cap_bits is not None:
-            return self.cap_bits
-        logn = max(n - 1, 1).bit_length() if n > 1 else 0
-        return 2 * logn
+        return congest_cap(n) if self.cap_bits is None else self.cap_bits
+
+
+def congest_cap(n: int) -> int:
+    """The CONGEST word on n vertices: 2 * ceil(log2 n) bits."""
+    return 2 * (n - 1).bit_length() if n > 1 else 0
 
 
 @dataclass
@@ -169,15 +166,15 @@ def msg_bits(m) -> int:
 
 
 class VertexContext:
-    """Local view handed to a vertex program: ids, incident edges, PRNG."""
+    """Local view handed to a vertex program: its id, n, the edge id behind
+    each of its ports (`incident[port]`), and a PRNG."""
 
-    __slots__ = ("vertex", "n", "incident", "neighbors", "_seed")
+    __slots__ = ("vertex", "n", "incident", "_seed")
 
-    def __init__(self, vertex, n, incident, neighbors, seed):
+    def __init__(self, vertex, n, incident, seed):
         self.vertex = vertex
         self.n = n
         self.incident = incident
-        self.neighbors = neighbors
         self._seed = seed
 
     @property
@@ -195,9 +192,12 @@ class VertexContext:
 class VertexProgram:
     """Behavior contract: init/step/output, and optionally idle_until.
 
-    step receives the inbox as a dict keyed by incident edge id and returns
-    (state, outbox, halted) with the outbox in the same keying; a halted
-    vertex is never stepped again, though its final outbox is delivered.
+    Messages are addressed by port: port i of v is its i-th incident edge,
+    ctx.incident[i]. step gets the inbox as a dict from the receiver's
+    ports to the messages that arrived on them, and returns (state, outbox,
+    halted), the outbox a sequence of (message, ports) pairs: the message
+    is sized once and sent on each listed port, each port at most once per
+    step. A halted vertex is never stepped again; its last outbox is sent.
 
     A program may also define `idle_until(state) -> int`, the first round
     in which the vertex must be stepped even with an empty inbox. Stepping
@@ -244,10 +244,8 @@ def run(
     cap = cfg.cap_for(n)
     strict = cfg.enforcement == "strict"
     congest = cfg.model == CONGEST
-    ctxs = [
-        VertexContext(v, n, g.adj[v], g.neighbors(v), cfg.seed)
-        for v in range(n)
-    ]
+    adj = g.adj
+    ctxs = [VertexContext(v, n, adj[v], cfg.seed) for v in range(n)]
     states = [program.init(ctxs[v]) for v in range(n)]
     halted = [False] * n
     inboxes: list[dict | None] = [None] * n
@@ -271,7 +269,7 @@ def run(
         heapq.heapify(wakes)
     mailed: list[int] = []  # vertices with mail for the coming round
 
-    edges = g.edges
+    nbrs, back = g.neighbors, g.ports()
     violations = trace.violations
     total = widest = 0
     live = n
@@ -309,7 +307,10 @@ def run(
                 heapq.heappush(wakes, (sleep[v], v))
             if not outbox:
                 continue
-            for eid, m in outbox.items():
+            to, at = nbrs(v), back[v]
+            for m, ports in outbox:
+                if not ports:
+                    continue
                 # ints (not bools) are sized inline by msg_bits' own rule
                 if type(m) is int:
                     bits = (m if m >= 0 else ~m).bit_length() + 1
@@ -319,19 +320,23 @@ def run(
                     bits = msg_bits(m)
                 if congest and bits > cap:
                     if strict:
-                        raise CongestViolation(rnd, eid, bits, cap)
-                    violations.append((rnd, eid, bits))
-                total += bits
+                        raise CongestViolation(rnd, adj[v][ports[0]], bits, cap)
+                    violations += [(rnd, adj[v][i], bits) for i in ports]
+                total += bits * len(ports)
                 if bits > widest:
                     widest = bits
-                a, b = edges[eid]
-                dest = b if a == v else a
-                box = next_inboxes[dest]
-                if box is None:
-                    next_inboxes[dest] = {eid: m}
-                    mailed.append(dest)
-                else:
-                    box[eid] = m
+                for i in ports:
+                    dest, j = to[i], at[i]
+                    box = next_inboxes[dest]
+                    if box is None:
+                        next_inboxes[dest] = {j: m}
+                        mailed.append(dest)
+                    elif j in box:
+                        raise ValueError(
+                            f"vertex {v} used port {i} twice in round {rnd}"
+                        )
+                    else:
+                        box[j] = m
         inboxes = next_inboxes
         if round_hook is not None and round_hook(rnd, states):
             break
@@ -361,7 +366,7 @@ def knowledge_states(g: Graph, rounds: int):
         raise ValueError("rounds must be >= 0")
     out = []
     for v in range(g.n):
-        order, dist, _ = g.bfs(v, rounds)
+        order, dist, _ = g.bfs(v, rounds, count=False)
         verts = tuple(sorted(order))
         # each edge once, at its smaller endpoint, gives the canonical
         # order; it is known when an endpoint lies within rounds-1

@@ -130,7 +130,7 @@ class Graph:
     Degree-0 vertices are allowed.
     """
 
-    __slots__ = ("n", "edges", "adj", "_nbrs")
+    __slots__ = ("n", "edges", "adj", "_nbrs", "_ports")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -158,6 +158,7 @@ class Graph:
         # adjacency lists are sorted by edge id (construction order is sorted)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
         self._nbrs: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in nbrs)
+        self._ports: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def m(self) -> int:
@@ -172,33 +173,49 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._nbrs[v]
 
-    def bfs(self, src: int, radius: int | None = None) -> tuple:
+    def ports(self) -> tuple[tuple[int, ...], ...]:
+        """Port i of v, its edge adj[v][i], is port ports()[v][i] of its
+        neighbour neighbors(v)[i]. Built on first use: adjacency is sorted
+        by edge id, so an edge's port counts its endpoint's earlier edges."""
+        if self._ports is None:
+            back: list[list[int]] = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                back[u].append(len(back[v]))
+                back[v].append(len(back[u]) - 1)
+            self._ports = tuple(map(tuple, back))
+        return self._ports
+
+    def bfs(
+        self, src: int, radius: int | None = None, count: bool = True
+    ) -> tuple:
         """Breadth-first search from src, out to `radius` hops.
 
         Returns (order, dist, near): the vertices within the radius (the
         whole component when radius is None) in visit order; the distance
         of every vertex, -1 if not reached; and near[d], the number of edges
-        whose nearer endpoint is at distance d, for every level reached.
+        whose nearer endpoint is at distance d, for every level reached
+        (left empty when count is False).
         """
         nbrs, dist = self._nbrs, [-1] * self.n
         dist[src] = 0
-        order, level, near = [src], [src], []
-        while level:
-            d = len(near)
+        order, level, near, d = [src], [src], [], 0
+        while level and (count or radius is None or d < radius):
             # edges leaving the last level count, their far ends stay -1
             grow = radius is None or d < radius
-            nxt, count = [], 0
+            nxt, edges = [], 0
             for v in level:
                 for u in nbrs[v]:
                     du = dist[u]
                     if du < 0:
-                        count += 1
+                        edges += 1
                         if grow:
                             dist[u] = d + 1
                             nxt.append(u)
-                    elif du > d or (du == d and u > v):
-                        count += 1
-            near.append(count)
+                    elif count and (du > d or (du == d and u > v)):
+                        edges += 1
+            if count:
+                near.append(edges)
+            d += 1
             order += nxt
             level = nxt
         return order, dist, near

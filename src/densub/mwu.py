@@ -86,7 +86,7 @@ class _Budget:
 
 
 class _LoadProgram(VertexProgram):
-    """Shared load dynamics; grants travel as one small code per edge."""
+    """Shared load dynamics; grants travel as one small code per port."""
 
     def __init__(self, budget: _Budget, iterations: int):
         self.b = budget
@@ -95,15 +95,14 @@ class _LoadProgram(VertexProgram):
     def init(self, ctx):
         deg = ctx.degree
         return {
-            "la": [0] * deg,  # load integer part per incident position
-            "lb": [0] * deg,  # load rho-multiples per incident position
+            "la": [0] * deg,  # load integer part per port
+            "lb": [0] * deg,  # load rho-multiples per port
             "ca": [0] * deg,  # cumulative own grants, integer part
             "cb": [0] * deg,  # cumulative own grants, rho-multiples
-            # grant order: (la*q + lb*p) * deg + i per position i; adjacency
-            # is sorted by edge id, so ties break by edge id
+            # grant order: (la*q + lb*p) * deg + i per port i; adjacency is
+            # sorted by edge id, so ties break by edge id
             "key": list(range(deg)),
-            "pend": None,  # (positions granted 2, position granted 1 or -1)
-            "pos": {eid: i for i, eid in enumerate(ctx.incident)},
+            "pend": None,  # (ports granted 2, port granted 1 or -1)
         }
 
     def step(self, ctx, state, rnd, inbox):
@@ -121,9 +120,7 @@ class _LoadProgram(VertexProgram):
             if one >= 0:
                 lb[one] += 1
                 key[one] += up1
-            pos_of = state["pos"]
-            for eid, code in inbox.items():
-                i = pos_of[eid]
+            for i, code in inbox.items():
                 if code == 2:
                     la[i] += 2
                     key[i] += up2
@@ -132,22 +129,20 @@ class _LoadProgram(VertexProgram):
                     key[i] += up1
         if rnd > self.T:
             state["pend"] = None
-            return state, {}, True
+            return state, (), True
         # codes for this iteration: 2 for the lightest cz-1, 1 for the next
         cz = b.cz
         keys = sorted(key)
         ca, cb = state["ca"], state["cb"]
-        incident = ctx.incident
-        outbox = {}
         twos = [k % deg for k in keys[: cz - 1]]
         for i in twos:
             ca[i] += 2
-            outbox[incident[i]] = 2
+        outbox = [(2, twos)]
         one = -1
         if deg >= cz:
             one = keys[cz - 1] % deg
             cb[one] += 1
-            outbox[incident[one]] = 1
+            outbox.append((1, (one,)))
         state["pend"] = (twos, one)
         return state, outbox, False
 

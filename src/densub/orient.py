@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from operator import gt
 
 from .engine import RoundTrace, msg_bits
 from .graphs import Graph, Orientation, ceil_log2, is_neg_pow2
@@ -84,51 +86,61 @@ class PathDecomposition:
 
 @dataclass
 class WeakOrientationResult:
-    orientation: Orientation
+    """head[2e + s] = 1 when edge e points at its side-s end ends[2e + s]."""
+
+    n: int
+    ends: list[int]
+    head: bytearray
     phases: int
     sink_history: list[int]  # sink count entering each phase
     charge: RoundTrace
 
+    @property
+    def orientation(self) -> Orientation:
+        pairs = tuple(zip(self.ends[::2], self.ends[1::2]))
+        return Orientation(self.n, pairs, tuple(self.head[1::2]))
 
-def _weak_orient_edges(
-    n: int, edges: list[tuple[int, int]]
-) -> WeakOrientationResult:
+
+def _weak_orient_edges(n: int, ends: list[int]) -> WeakOrientationResult:
     """Sinkless orientation of the degree-3 split multigraph.
 
-    Works on an arbitrary multigraph without self-loops; the orientation
-    is over `edges` as given.
+    Works on an arbitrary multigraph without self-loops: edge e joins
+    ends[2e] and ends[2e + 1].
     """
-    m = len(edges)
-    # slot 2*eid + s is side s of edge eid (side 0 at edges[eid][0]); each
-    # vertex's slots, in edge order and padded with -1 to a multiple of
-    # three, make its copies. ec[slot] is the slot's copy, hp[eid] the
-    # slot at the edge's head and hp[eid] ^ 1 the one at its tail.
+    m2 = len(ends)
+    # slot x = 2e + s is side s of edge e; each vertex's slots, in edge
+    # order and padded with -1 to a multiple of three, make its copies:
+    # copy c owns flat[3c : 3c + 3], and ec[x] is slot x's copy
     slots: list[list[int]] = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(edges):
-        slots[u].append(2 * eid)
-        slots[v].append(2 * eid + 1)
+    for x, v in enumerate(ends):
+        slots[v].append(x)
     flat: list[int] = []
     for sv in slots:
         flat += sv
         flat += (-1, -1)[: -len(sv) % 3]
-    copy_slots = list(zip(*[iter(flat)] * 3))
-    num_copies = len(copy_slots)
-    ec = [0] * (2 * m + 1)  # the extra last entry takes the padding
-    for p, x in enumerate(flat):
-        ec[x] = p // 3
-    ec.pop()
-    full = bytearray(last >= 0 for _a, _b, last in copy_slots)
-    full_copies = [c for c in range(num_copies) if full[c]]
-    hp = [2 * eid + (v > u) for eid, (u, v) in enumerate(edges)]
-    indeg = [0] * num_copies
-    for h in hp:
-        indeg[ec[h]] += 1
+    num_copies = len(flat) // 3
+    ec = [0] * (m2 + 1)
+    it = iter(flat)
+    for c, (x, y, z) in enumerate(zip(it, it, it)):
+        ec[x] = ec[y] = ec[z] = c
+    # every edge starts pointing at its larger endpoint; head[-1] = 0 is
+    # what padding reads
+    mate = chain.from_iterable(zip(ends[1::2], ends[::2]))
+    head = bytearray(map(gt, ends, mate)) + b"\0"
+    # a copy with fewer than three edges counts its in-degree from -3, so
+    # it never reads as a sink (3) or a relay (2)
+    it = iter(flat)
+    indeg = [head[a] + head[b] + head[c] - 3 * (c < 0) for a, b, c in zip(it, it, it)]
 
     phase_budget = 8 * max(max(n, 2) - 1, 1).bit_length()
     trace = RoundTrace()
     sink_history: list[int] = []
-    # a sink is a full copy with three incoming edges
-    sinks = [c for c in full_copies if indeg[c] == 3]
+    sinks = [c for c, d in enumerate(indeg) if d == 3]
+    origin = [0] * num_copies  # the sink whose wave reached a copy
+    # a wave hit (layer, endpoint copy w, slot x of the edge into w) as one
+    # int, ordered as the triple is; slot order is edge-id order
+    per_layer = num_copies * m2
+    never = (num_copies + 1) * per_layer
     phases = 0
     while sinks:
         phases += 1
@@ -140,65 +152,65 @@ def _weak_orient_edges(
         # wave sub-phase: every sink explores backwards along incoming
         # edges through out-degree-1 (full, in-degree 2) copies; each copy
         # is reached at most once because its single out-edge pins it to
-        # one sink's chain
-        waved: dict[int, int] = {}  # copy -> the edge that reached it
-        hits: dict[int, tuple[int, int, int]] = {}  # sink -> (layer, w, e)
-        frontier = [(c, c) for c in sinks]
-        layer = 0
-        wave_messages = 0
+        # one sink's chain. via[w] is the slot whose edge reached w.
+        via = [-1] * num_copies
+        hits = [never] * num_copies  # per sink, its best hit
+        for s in sinks:
+            origin[s] = s
+        frontier, layer = sinks, 0
+        # a copy sends one wave word per incoming edge: 3 from a sink, 2
+        # from a relay
+        wave_messages = 3 * len(sinks)
         while frontier:
             layer += 1
+            at_layer = layer * per_layer
             nxt = []
-            for c, origin in frontier:
-                for x in copy_slots[c]:
-                    eid = x >> 1
-                    if hp[eid] != x:
+            for c in frontier:
+                o = origin[c]
+                for x in flat[3 * c : 3 * c + 3]:
+                    if not head[x]:
                         continue  # c is the tail, or x = -1 is padding
                     w = ec[x ^ 1]
-                    wave_messages += 1
-                    if full[w]:
-                        d = indeg[w]
-                        if d == 3:
-                            continue
-                        if d == 2:
-                            if w not in waved:
-                                waved[w] = eid
-                                nxt.append((w, origin))
-                            continue
-                    best = hits.get(origin)
-                    cand = (layer, w, eid)
-                    if best is None or cand < best:
-                        hits[origin] = cand
+                    d = indeg[w]
+                    if d == 3:
+                        continue
+                    if d == 2:
+                        if via[w] < 0:
+                            via[w] = x
+                            origin[w] = o
+                            nxt.append(w)
+                        continue
+                    hit = at_layer + w * m2 + x
+                    if hit < hits[o]:
+                        hits[o] = hit
+            wave_messages += 2 * len(nxt)
             frontier = nxt
+        if any(hits[s] == never for s in sinks):
+            raise RuntimeError(
+                "a sink found no augmenting path; split-graph invariant broken"
+            )
+        # designation already filtered to one path per sink (hits); each
+        # endpoint accepts the smallest designating sink id, then the path
+        # is flipped walking back from the endpoint to the sink. Accepted
+        # paths share no copy, so the flips commute.
+        accepted, path_len_total = set(), 0
         for s in sinks:
-            if s not in hits:
-                raise RuntimeError(
-                    "a sink found no augmenting path; split-graph invariant broken"
-                )
-        # designation already filtered to one path per sink (hits);
-        # endpoints accept the smallest designating sink id
-        accept: dict[int, int] = {}
-        for s in sorted(hits):
-            _layer, w, _e = hits[s]
-            if w not in accept or s < accept[w]:
-                accept[w] = s
-        path_len_total = 0
-        for w, s in sorted(accept.items()):
-            _layer, _w, eid = hits[s]
-            # walk from the endpoint back to the sink, flipping
-            path = [eid]
-            c = ec[hp[eid]]
-            while c != s:
-                via = waved[c]
-                path.append(via)
-                c = ec[hp[via]]
-            for e in path:
-                h = hp[e]
-                indeg[ec[h]] -= 1
-                indeg[ec[h ^ 1]] += 1
-                hp[e] = h ^ 1
-            path_len_total += len(path)
-        new_sinks = [c for c in full_copies if indeg[c] == 3]
+            x = hits[s] % per_layer
+            w, x = divmod(x, m2)
+            if w in accepted:
+                continue
+            accepted.add(w)
+            while True:
+                c = ec[x]
+                head[x] = 0
+                head[x ^ 1] = 1
+                indeg[c] -= 1
+                indeg[ec[x ^ 1]] += 1
+                path_len_total += 1
+                if c == s:
+                    break
+                x = via[c]
+        new_sinks = [c for c, d in enumerate(indeg) if d == 3]
         if not set(new_sinks) <= set(sinks):
             raise RuntimeError("an augmenting-path flip created a new sink")
         if len(sinks) - len(new_sinks) < -(-len(sinks) // 3):
@@ -213,71 +225,91 @@ def _weak_orient_edges(
         trace.charge(msg_bits(layer), path_len_total)  # report words
         trace.charge(copy_bits, 2 * path_len_total)  # designate+accept
         sinks = new_sinks
-    head = tuple(h & 1 for h in hp)
-    orientation = Orientation(n, tuple(edges), head)
-    return WeakOrientationResult(orientation, phases, sink_history, trace)
+    return WeakOrientationResult(n, ends, head, phases, sink_history, trace)
 
 
 def weak_orientation(g: Graph) -> WeakOrientationResult:
     """Orientation with outdeg(v) >= floor(deg(v)/3) for every vertex."""
-    return _weak_orient_edges(g.n, list(g.edges))
+    return _weak_orient_edges(g.n, list(chain.from_iterable(g.edges)))
 
 
 def _decompose_edges(
     n: int, edges: list[tuple[int, int]], levels: int
-) -> tuple[list[list[int]], RoundTrace]:
-    """Boosted path decomposition of an edge list.
+) -> tuple[list[tuple[int, int]], list[int], RoundTrace]:
+    """Boosted path decomposition of an edge list: paths covering every
+    edge once, with per-vertex open-end count at most (2/3)^levels * deg
+    + 12 and length at most 2^levels.
 
-    Returns vertex sequences covering every input edge exactly once, with
-    per-vertex open-end count at most (2/3)^levels * deg + 12 and length
-    at most 2^levels.
+    Edges are numbered from 1, 0 meaning none. A path is a chain of edges,
+    link[e] the XOR of e's neighbours on it, so two paths splice in O(1)
+    whichever way each runs. Returns (starts, link, trace): path k leaves
+    vertex starts[k][0] along edge starts[k][1], open paths first.
     """
-    paths: list[list[int]] = [[u, v] for (u, v) in edges]
-    cycles: list[list[int]] = []
+    # open path k runs from end 2k to end 2k + 1: ends[x] is the vertex at
+    # end x, tip[x] the edge there; the ends are the virtual edge's sides
+    ends = list(chain.from_iterable(edges))
+    tip = list(chain.from_iterable(zip(*[range(1, len(edges) + 1)] * 2)))
+    link = [0] * (len(edges) + 1)
+    length = [1] * len(edges)
+    cycles: list[tuple[int, int]] = []
     trace = RoundTrace()
     max_len = 1
-    for level in range(levels):
-        open_idx = [i for i, p in enumerate(paths) if p[0] != p[-1]]
-        virt_edges = [(paths[i][0], paths[i][-1]) for i in open_idx]
-        if not virt_edges:
+    for _ in range(levels):
+        if not ends:
             break
-        res = _weak_orient_edges(n, virt_edges)
+        res = _weak_orient_edges(n, ends)
         trace.then(res.charge, max_len + 1)
-        out_at: dict[int, list[int]] = {}
-        for k in range(len(virt_edges)):
-            out_at.setdefault(res.orientation.tail_of(k), []).append(k)
-        merged: set[int] = set()
-        new_paths: list[list[int]] = []
-        for u in sorted(out_at):
-            ks = out_at[u]
-            for first, second in zip(ks[::2], ks[1::2]):
-                pa = paths[open_idx[first]]
-                pb = paths[open_idx[second]]
-                seq_a = pa if pa[0] == u else pa[::-1]
-                seq_b = pb if pb[0] == u else pb[::-1]
-                joined = seq_a[::-1] + seq_b[1:]
-                merged.add(open_idx[first])
-                merged.add(open_idx[second])
-                if joined[0] == joined[-1]:
-                    cycles.append(joined)
+        # the end each virtual edge leaves from, by vertex in path order;
+        # consecutive pairs at a vertex are spliced there, and only the
+        # last end of an odd group is left over
+        out_at: list[list[int]] = [[] for _ in range(n)]
+        head = res.head
+        for x in range(0, len(ends), 2):
+            x += head[x]
+            out_at[ends[x]].append(x)
+        new_ends, new_tip, new_len = [], [], []
+        for xs in out_at:
+            for a, b in zip(xs[::2], xs[1::2]):
+                ta, tb = tip[a], tip[b]
+                link[ta] ^= tb
+                link[tb] ^= ta
+                # the joined path runs from a's far end into the shared
+                # vertex, then on along b to its far end
+                a ^= 1
+                b ^= 1
+                ea, eb = ends[a], ends[b]
+                if ea == eb:
+                    cycles.append((ea, tip[a]))
                 else:
-                    new_paths.append(joined)
-        for i, p in enumerate(paths):
-            if i not in merged and p[0] != p[-1]:
-                new_paths.append(p)
+                    new_ends += ea, eb
+                    new_tip += tip[a], tip[b]
+                    new_len.append(length[a >> 1] + length[b >> 1])
+        for x in sorted(xs[-1] & -2 for xs in out_at if len(xs) & 1):
+            new_ends += ends[x], ends[x + 1]
+            new_tip += tip[x], tip[x + 1]
+            new_len.append(length[x >> 1])
+        ends, tip, length = new_ends, new_tip, new_len
         # reversals and appends are coordinated along the paths themselves
         trace.rounds_executed += max_len + 1
-        paths = new_paths
-        max_len = min(2 * max_len, max((len(p) - 1 for p in paths), default=1))
-    return paths + cycles, trace
+        max_len = min(2 * max_len, max(length, default=1))
+    return list(zip(ends[::2], tip[::2])) + cycles, link, trace
 
 
-def path_decompose(g: Graph, levels: int) -> PathDecomposition:
+def path_decompose(g: Graph, levels: int) -> tuple[PathDecomposition, RoundTrace]:
     """(2/3)^levels damping of path-end counts, lengths up to 2^levels."""
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    paths, _ = _decompose_edges(g.n, list(g.edges), levels)
-    return PathDecomposition(g.n, tuple(tuple(p) for p in paths))
+    starts, link, trace = _decompose_edges(g.n, list(g.edges), levels)
+    paths = []
+    for v, e in starts:
+        seq, prev = [v], 0
+        while e:
+            a, b = g.edges[e - 1]
+            v = b if v == a else a
+            seq.append(v)
+            prev, e = e, link[e] ^ prev
+        paths.append(tuple(seq))
+    return PathDecomposition(g.n, tuple(paths)), trace
 
 
 def split_levels(eps: Fraction) -> int:
@@ -303,16 +335,18 @@ def _split_edge_list(
     path ends.
     """
     levels = split_levels(eps)
-    paths, trace = _decompose_edges(n, edges, levels)
-    remaining: dict[tuple[int, int], list[int]] = {}
-    for eid, (u, v) in enumerate(edges):
-        remaining.setdefault((u, v) if u < v else (v, u), []).append(eid)
+    starts, link, trace = _decompose_edges(n, edges, levels)
     dir_bits = [0] * len(edges)
-    for p in paths:
-        for a, b in zip(p, p[1:]):
-            key = (a, b) if a < b else (b, a)
-            eid = remaining[key].pop()
-            dir_bits[eid] = 1 if (edges[eid][0], edges[eid][1]) == (a, b) else 0
+    for v, e in starts:
+        prev = 0
+        while e:
+            a, b = edges[e - 1]
+            if v == a:
+                dir_bits[e - 1] = 1
+                v = b
+            else:
+                v = a
+            prev, e = e, link[e] ^ prev
     trace.rounds_executed += 1  # announcing the final direction of each edge
     return Orientation(n, tuple(edges), tuple(dir_bits)), trace
 

@@ -249,7 +249,7 @@ def test_criterion_08_directed_splitting():
             for v in range(g.n):
                 assert abs(outs[v] - ins[v]) <= eps * g.degree(v) + 12
             levels = split_levels(eps)
-            pd = path_decompose(g, levels)
+            pd, _ = path_decompose(g, levels)
             assert sorted(pd.edge_multiset()) == sorted(g.edges)
             assert pd.max_length() <= 2**levels
             counts = pd.endpoint_counts()

@@ -36,7 +36,7 @@ def _orient_k129():
 
 
 def _weak_g40():
-    res = _weak_orient_edges(G40.n, list(G40.edges))
+    res = _weak_orient_edges(G40.n, [x for e in G40.edges for x in e])
     assert res.phases == 3
     return res.charge
 

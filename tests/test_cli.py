@@ -196,10 +196,32 @@ class TestCli:
         ids=lambda argv: argv[0],
     )
     def test_non_positive_count_is_an_input_error(self, capsys, k5_file, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--in", k5_file])
-        assert exc.value.code == 2
-        assert f"argument {argv[-2]}: must be positive" in capsys.readouterr().err
+        code, payload = run_json(capsys, argv + ["--in", k5_file])
+        assert code == 2
+        assert payload["error"] == "UsageError"
+        assert f"argument {argv[-2]}: must be positive" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["orient", "--dtilde", "4", "--eps", "1/4"], "required: --in"),
+            (["dual", "--z", "2/1", "--eps", "1/8", "--T", "x"], "argument --T"),
+            (["detect-congest", "--dtilde", "2", "--eps", "1/8",
+              "--trials", "1.5"], "argument --trials"),
+            (["no-such-command"], "invalid choice"),
+        ],
+    )
+    def test_usage_error_is_json_on_stdout(
+        self, capsys, k5_file, argv, expected
+    ):
+        if argv[0] in ("dual", "detect-congest"):
+            argv = argv + ["--in", k5_file]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        payload = json.loads(out)
+        assert payload["error"] == "UsageError"
+        assert expected in payload["message"]
 
     def test_ldd(self, capsys, tmp_path):
         p = tmp_path / "g.el"

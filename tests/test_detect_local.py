@@ -170,13 +170,15 @@ MIXED = DirectedGraph(
 )
 
 
-def counting_bfs(monkeypatch):
+def counting_bfs(monkeypatch, counts=None):
     calls = []
+    counts = [] if counts is None else counts
     original = Graph.bfs
 
-    def counted(self, src, radius=None):
+    def counted(self, src, radius=None, count=True):
         calls.append(radius)
-        return original(self, src, radius)
+        counts.append((radius, count))
+        return original(self, src, radius, count)
 
     monkeypatch.setattr(Graph, "bfs", counted)
     return calls
@@ -215,6 +217,15 @@ class TestPinnedTraces:
         out, _ = local_detect(g, dtilde, eps)
         assert g.n <= len(calls) <= 2 * g.n
         assert set(calls) <= {out.radius, 2 * out.radius}
+
+    def test_only_the_ball_bfs_counts_edges(self, monkeypatch):
+        # the 2r BFS feeds the gossip charge and the election, neither of
+        # which reads the per-level edge counts
+        g, dtilde, eps = PINNED["planted30"][:3]
+        counts = []
+        counting_bfs(monkeypatch, counts)
+        out, _ = local_detect(g, dtilde, eps)
+        assert set(counts) == {(out.radius, True), (2 * out.radius, False)}
 
     def test_directed_at_most_two_bfs_per_vertex(self, monkeypatch):
         calls = counting_bfs(monkeypatch)

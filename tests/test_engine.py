@@ -9,6 +9,7 @@ from densub.engine import (
     MaxRoundsExceeded,
     RoundTrace,
     SimConfig,
+    VertexContext,
     VertexProgram,
     collect_ball,
     component_aggregate,
@@ -26,7 +27,7 @@ class HaltImmediately(VertexProgram):
         return ctx.vertex
 
     def step(self, ctx, state, rnd, inbox):
-        return state, {}, True
+        return state, (), True
 
     def output(self, ctx, state):
         return state
@@ -43,11 +44,11 @@ class Flood(VertexProgram):
 
     def step(self, ctx, state, rnd, inbox):
         if ctx.vertex == 0 and rnd == 1:
-            return self.token, {e: self.token for e in ctx.incident}, True
+            return self.token, [(self.token, range(ctx.degree))], True
         if inbox:
             tok = min(inbox.values())
-            return tok, {e: tok for e in ctx.incident}, True
-        return state, {}, False
+            return tok, [(tok, range(ctx.degree))], True
+        return state, (), False
 
 
 class TestMsgBits:
@@ -112,7 +113,7 @@ class TestRun:
                 return 0
 
             def step(self, ctx, state, rnd, inbox):
-                return state, {}, False
+                return state, (), False
 
         with pytest.raises(MaxRoundsExceeded):
             run(path(3), Never(), SimConfig(max_rounds=10))
@@ -150,8 +151,8 @@ class SendOnce(VertexProgram):
 
     def step(self, ctx, state, rnd, inbox):
         if ctx.vertex == 0:
-            return state, {ctx.incident[0]: self.message}, True
-        return state, {}, True
+            return state, [(self.message, (0,))], True
+        return state, (), True
 
 
 # the engine sizes top-level ints itself, so they are drawn often, with
@@ -188,6 +189,166 @@ class TestRunBitAccounting:
         assert exc.value.bits == msg_bits(m)
 
 
+class Talk(VertexProgram):
+    """Random traffic: each round a vertex sends random words (ints, wide
+    ints, tuples, and True and 1, which hash equal) either as broadcasts
+    or as unicast pairs over random port groups, some of them empty. It
+    records every (round, port, word) it hears and halts at a random
+    round."""
+
+    def __init__(self, broadcast, life):
+        self.broadcast = broadcast
+        self.life = life
+
+    @staticmethod
+    def word(rng):
+        kind = rng.randrange(5)
+        if kind == 0:
+            return rng.choice([True, 1, False, 0])
+        if kind == 1:
+            return rng.randint(-300, 300)
+        if kind == 2:
+            return rng.randint(-(2**40), 2**40)
+        return tuple(rng.randint(0, 9) for _ in range(rng.randrange(3)))
+
+    def init(self, ctx):
+        return ctx.rand(0).randint(1, self.life), ()
+
+    def step(self, ctx, state, rnd, inbox):
+        stop, heard = state
+        heard += tuple(
+            (rnd, p, type(m).__name__, m) for p, m in sorted(inbox.items())
+        )
+        rng = ctx.rand(rnd)
+        ports = [i for i in range(ctx.degree) if rng.random() < 0.6]
+        if self.broadcast:
+            out = [(self.word(rng), ports)] if rng.random() < 0.8 else []
+        else:
+            rng.shuffle(ports)
+            cuts = sorted(rng.randint(0, len(ports)) for _ in range(3))
+            out = [
+                (self.word(rng), tuple(ports[a:b]))
+                for a, b in zip([0] + cuts, cuts + [len(ports)])
+            ]
+        return (stop, heard), out, rnd >= stop
+
+
+def reference_run(g, program, cfg):
+    """engine.run restated one message at a time: every live vertex steps
+    every round, each word is sized per copy, and the receiving port is
+    looked up by edge id."""
+    n = g.n
+    ctxs = [VertexContext(v, n, g.adj[v], cfg.seed) for v in range(n)]
+    states = [program.init(c) for c in ctxs]
+    halted = [False] * n
+    inboxes = [{} for _ in range(n)]
+    rnd = total = widest = 0
+    violations = []
+    while not all(halted):
+        rnd += 1
+        nxt = [{} for _ in range(n)]
+        for v in range(n):
+            if halted[v]:
+                continue
+            states[v], outbox, halted[v] = program.step(
+                ctxs[v], states[v], rnd, inboxes[v]
+            )
+            for m, ports in outbox:
+                for i in ports:
+                    eid = g.adj[v][i]
+                    u = sum(g.edges[eid]) - v
+                    bits = msg_bits(m)
+                    if bits > cfg.cap_for(n):
+                        violations.append([rnd, eid, bits])
+                    total += bits
+                    widest = max(widest, bits)
+                    nxt[u][g.adj[u].index(eid)] = m
+        inboxes = nxt
+    outputs = [program.output(ctxs[v], states[v]) for v in range(n)]
+    trace = {
+        "rounds": rnd,
+        "max_message_bits": widest,
+        "total_bits": total,
+        "violations": sorted(violations),
+    }
+    return outputs, trace
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on up to 12 vertices, often with isolated vertices."""
+    n = draw(st.integers(1, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges)
+
+
+class SendTo(VertexProgram):
+    """Vertex 0 sends `message` on `ports` in round 1; everyone halts."""
+
+    def __init__(self, message, ports):
+        self.message = message
+        self.ports = ports
+
+    def init(self, ctx):
+        return None
+
+    def step(self, ctx, state, rnd, inbox):
+        out = [(self.message, self.ports)] if ctx.vertex == 0 else ()
+        return state, out, True
+
+
+class TestPortContract:
+    @given(
+        small_graphs(),
+        st.booleans(),
+        st.integers(1, 6),
+        st.integers(0, 2**32),
+        st.sampled_from([8, 12, 48]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_message_reference(
+        self, g, broadcast, life, seed, cap
+    ):
+        # a permissive CONGEST run, so oversized words are recorded with
+        # their edge ids rather than raised
+        cfg = SimConfig(
+            model="CONGEST", enforcement="permissive", seed=seed, cap_bits=cap
+        )
+        want_outs, want_trace = reference_run(g, Talk(broadcast, life), cfg)
+        for schedule in ("forward", "reverse", "shuffled"):
+            outs, trace = run(g, Talk(broadcast, life), cfg, schedule=schedule)
+            assert outs == want_outs
+            assert trace.to_json() == want_trace
+
+    def test_a_port_used_twice_in_one_step_raises(self):
+        class Twice(VertexProgram):
+            def __init__(self, outbox):
+                self.outbox = outbox
+
+            def init(self, ctx):
+                return None
+
+            def step(self, ctx, state, rnd, inbox):
+                return state, self.outbox if ctx.vertex == 1 else (), True
+
+        run(path(3), Twice([(5, (0, 1))]), SimConfig())  # distinct ports
+        for outbox in ([(5, (0, 0))], [(5, (1,)), (6, (1,))]):
+            with pytest.raises(ValueError, match="port"):
+                run(path(3), Twice(outbox), SimConfig())
+
+    def test_empty_port_list_sends_nothing(self):
+        # not even a word the cap would reject
+        cfg = SimConfig(model="CONGEST", cap_bits=8)
+        _, trace = run(path(4), SendTo(2**40, ()), cfg)
+        assert trace.to_json() == {
+            "rounds": 1,
+            "max_message_bits": 0,
+            "total_bits": 0,
+            "violations": [],
+        }
+
+
 class Pulse(VertexProgram):
     """Each vertex sleeps until its wake round, then floods the smallest id
     it has heard of and sleeps two more rounds; it halts after three
@@ -209,8 +370,8 @@ class Pulse(VertexProgram):
             best = min(best, *inbox.values())
             wake = min(wake, rnd + 2)
         if rnd < wake:
-            return (wake, best, pulses), {}, False
-        out = {e: best for e in ctx.incident}
+            return (wake, best, pulses), (), False
+        out = [(best, range(ctx.degree))]
         return (rnd + 3, best, pulses + 1), out, pulses == 2
 
 
@@ -233,7 +394,7 @@ class Sleeper(VertexProgram):
         return self.wake
 
     def step(self, ctx, state, rnd, inbox):
-        return rnd, {}, rnd >= self.wake
+        return rnd, (), rnd >= self.wake
 
 
 class Snooze(VertexProgram):
@@ -252,10 +413,10 @@ class Snooze(VertexProgram):
     def step(self, ctx, state, rnd, inbox):
         self.steps.append((ctx.vertex, rnd))
         if ctx.vertex == 0:
-            return state, {e: 1 for e in ctx.incident}, True
+            return state, [(1, range(ctx.degree))], True
         if inbox:
-            return 8, {}, False
-        return state, {}, True
+            return 8, (), False
+        return state, (), True
 
 
 class TestIdleUntil:
@@ -380,10 +541,8 @@ class TestComponentDiameter:
 def graph_and_radius(draw):
     """A random graph, often with isolated vertices, and a radius from 0
     to past its diameter."""
-    n = draw(st.integers(1, 12))
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return Graph(n, edges), draw(st.integers(0, n + 1))
+    g = draw(small_graphs())
+    return g, draw(st.integers(0, g.n + 1))
 
 
 class TestCollectBall:

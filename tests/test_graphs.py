@@ -67,6 +67,42 @@ class TestGraphInvariants:
         assert g.neighbors(4) == ()
 
 
+@st.composite
+def small_graphs(draw):
+    """A graph on up to 12 vertices, often with isolated vertices."""
+    n = draw(st.integers(1, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges)
+
+
+class TestPortsAndBfs:
+    @given(small_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_port_table_inverts_itself(self, g):
+        assert g._ports is None  # built on first use only
+        ports = g.ports()
+        assert [len(p) for p in ports] == [g.degree(v) for v in range(g.n)]
+        for v in range(g.n):
+            for i, (u, j) in enumerate(zip(g.neighbors(v), ports[v])):
+                assert g.adj[u][j] == g.adj[v][i]
+                assert g.neighbors(u)[j] == v
+        assert g.ports() is ports
+
+    def test_induced_subgraph_builds_no_port_table(self):
+        sub, _ = complete(6).induced([0, 2, 4])
+        assert sub._ports is None
+
+    @given(small_graphs(), st.integers(0, 13), st.integers(0, 11))
+    @settings(max_examples=300, deadline=None)
+    def test_bfs_without_counts_matches(self, g, radius, src):
+        src %= g.n
+        for r in (radius, None):
+            order, dist, near = g.bfs(src, r)
+            assert g.bfs(src, r, count=False) == (order, dist, [])
+            assert len(near) == max(dist) + 1
+
+
 class TestDensity:
     def test_path5_full(self):
         assert density(path(5), full(path(5))) == Fraction(4, 5)

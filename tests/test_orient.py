@@ -129,7 +129,7 @@ class TestSplitterProperties:
     @settings(max_examples=200, deadline=None)
     def test_weak_orientation_guarantees(self, case):
         n, edges = case
-        res = _weak_orient_edges(n, edges)
+        res = _weak_orient_edges(n, [x for e in edges for x in e])
         assert res.orientation.edges == tuple(edges)
         deg = _degrees(n, edges)
         outs = _outdegs(n, edges, res.orientation.dir_bits)
@@ -168,13 +168,13 @@ class TestSplitterProperties:
 class TestPathDecompose:
     def test_level_zero_single_edges(self):
         g = complete(4)
-        pd = path_decompose(g, 0)
+        pd, _ = path_decompose(g, 0)
         assert all(len(p) == 2 for p in pd.paths)
         assert pd.endpoint_counts() == [3, 3, 3, 3]
 
     def test_k7_level_one(self):
         g = complete(7)
-        pd = path_decompose(g, 1)
+        pd, _ = path_decompose(g, 1)
         assert pd.max_length() <= 2
         assert sorted(pd.edge_multiset()) == sorted(g.edges)
         for v in range(7):
@@ -182,7 +182,7 @@ class TestPathDecompose:
 
     def test_level_four_partition_and_bounds(self):
         g = erdos_renyi(128, 0.25, seed=3)
-        pd = path_decompose(g, 4)
+        pd, _ = path_decompose(g, 4)
         assert sorted(pd.edge_multiset()) == sorted(g.edges)
         assert pd.max_length() <= 16
         counts = pd.endpoint_counts()
@@ -192,6 +192,22 @@ class TestPathDecompose:
     def test_deterministic(self):
         g = erdos_renyi(40, 0.4, seed=5)
         assert path_decompose(g, 3) == path_decompose(g, 3)
+
+    def test_trace_pinned(self):
+        # the decomposition's relay charge; directed_split adds one round
+        # to announce directions
+        g = erdos_renyi(40, 0.4, seed=5)
+        _, trace = path_decompose(g, 3)
+        assert trace.to_json() == {
+            "rounds": 474,
+            "max_message_bits": 9,
+            "total_bits": 21_785,
+            "violations": [],
+        }
+        _, trace = path_decompose(g, split_levels(Fraction(1, 4)))
+        _, split_trace = directed_split(g, Fraction(1, 4))
+        assert trace.rounds_executed + 1 == split_trace.rounds_executed == 808
+        assert trace.total_bits == split_trace.total_bits == 25_745
 
 
 class TestDirectedSplit:
@@ -230,7 +246,7 @@ class TestDirectedSplit:
         # the decomposition hands its virtual multigraphs to the splitters
         edges = [e for u, v in complete(51).edges for e in ((u, v), (v, u))]
         eps = Fraction(1, 4)
-        weak = _weak_orient_edges(51, edges).orientation
+        weak = _weak_orient_edges(51, [x for e in edges for x in e]).orientation
         split, _ = _split_edge_list(51, edges, eps)
         for o in (weak, split):
             assert isinstance(o, Orientation) and o.edges == tuple(edges)
