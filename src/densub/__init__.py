@@ -4,7 +4,7 @@ centralized oracles."""
 
 import types as _types
 
-from .decompose import Clustering, ldd, ldd_traced
+from .decompose import Clustering, ldd_traced
 from .detect_congest import approx_densest, congest_detect
 from .detect_local import (
     DetectionOutput,
@@ -51,7 +51,7 @@ from .oracle import (
 from .orient import (
     PathDecomposition,
     directed_split,
-    orient_low_outdegree,
+    orient_low_outdegree_detailed,
     path_decompose,
     weak_orientation,
 )

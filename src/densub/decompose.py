@@ -17,7 +17,7 @@ from fractions import Fraction
 from .engine import RoundTrace, SimConfig, VertexProgram, run
 from .graphs import Graph, ceil_ln
 
-__all__ = ["Clustering", "ldd", "ldd_traced", "shift_budget"]
+__all__ = ["Clustering", "ldd_traced", "shift_budget"]
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,3 @@ def ldd_traced(
         Clustering(tuple(centers_of), centers, cut, budget),
         trace,
     )
-
-
-def ldd(g: Graph, eps: Fraction, seed: int) -> Clustering:
-    """Low-diameter decomposition; deterministic for a fixed seed."""
-    return ldd_traced(g, eps, seed)[0]

@@ -385,10 +385,6 @@ class Orientation:
     edges: tuple[tuple[int, int], ...]
     dir_bits: tuple[int, ...]
 
-    def tail_of(self, eid: int) -> int:
-        u, v = self.edges[eid]
-        return u if self.dir_bits[eid] else v
-
     def outdegs(self) -> list[int]:
         out = [0] * self.n
         for (u, v), bit in zip(self.edges, self.dir_bits):
@@ -557,22 +553,23 @@ def lowerbound_pair(eps: Fraction) -> tuple[Graph, Graph]:
     return cycle(ell), path(ell)
 
 
+# kind -> (its required parameter names, maker(params, seed))
 _GENERATORS = {
-    "cycle": lambda params, seed: cycle(int(params["n"])),
-    "path": lambda params, seed: path(int(params["n"])),
-    "complete": lambda params, seed: complete(int(params["n"])),
-    "erdos_renyi": lambda params, seed: erdos_renyi(
+    "cycle": ("n", lambda params, seed: cycle(int(params["n"]))),
+    "path": ("n", lambda params, seed: path(int(params["n"]))),
+    "complete": ("n", lambda params, seed: complete(int(params["n"]))),
+    "erdos_renyi": ("n p", lambda params, seed: erdos_renyi(
         int(params["n"]), Fraction(str(params["p"])), seed
-    ),
-    "planted_dense": lambda params, seed: planted_dense(
+    )),
+    "planted_dense": ("n_outer clique_size", lambda params, seed: planted_dense(
         int(params["n_outer"]), int(params["clique_size"]), seed
-    ),
-    "barbell": lambda params, seed: barbell(
+    )),
+    "barbell": ("clique_size path_len", lambda params, seed: barbell(
         int(params["clique_size"]), int(params["path_len"])
-    ),
-    "lowerbound_pair": lambda params, seed: lowerbound_pair(
+    )),
+    "lowerbound_pair": ("eps", lambda params, seed: lowerbound_pair(
         Fraction(str(params["eps"]))
-    ),
+    )),
 }
 
 
@@ -586,7 +583,11 @@ def generate(kind: str, params: dict, seed: int = 0):
         raise ValueError(
             f"unknown kind {kind!r}; options: {sorted(_GENERATORS)}"
         )
-    return _GENERATORS[kind](params, seed)
+    keys, make = _GENERATORS[kind]
+    missing = [k for k in keys.split() if k not in params]
+    if missing:
+        raise ValueError(f"{kind} needs the parameter(s) {', '.join(missing)}")
+    return make(params, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 from .engine import (
     RoundTrace,
@@ -149,9 +151,12 @@ class _LoadProgram(VertexProgram):
 
 @dataclass
 class DualSolution:
-    """Endpoint values alpha[(edge, vertex)] with exact feasibility flags."""
+    """Endpoint values alpha = shares[2e + s] / den, with exact feasibility
+    flags; side s = 0 of edge e is edges[e][0], the smaller endpoint."""
 
-    alpha: dict[tuple[int, int], Fraction]
+    shares: list[int]
+    den: int
+    edges: tuple[tuple[int, int], ...] = field(repr=False)
     z: Fraction
     eps: Fraction
     iterations: int
@@ -160,8 +165,11 @@ class DualSolution:
     load_views: tuple = field(repr=False, default=())
 
     def to_json(self) -> dict:
+        text = {s: format_ratio(Fraction(s, self.den)) for s in set(self.shares)}
+        ends = chain.from_iterable(self.edges)
         entries = [
-            [e, u, format_ratio(v)] for (e, u), v in sorted(self.alpha.items())
+            [x >> 1, v, text[s]]
+            for x, (v, s) in enumerate(zip(ends, self.shares))
         ]
         return {
             "z": format_ratio(self.z),
@@ -188,10 +196,6 @@ def _check_pre(
     return z, eps, T
 
 
-def _numeric_width(value: Fraction) -> int:
-    return max(value.numerator.bit_length(), 1)
-
-
 def _assemble_dual(
     g: Graph, outs, z: Fraction, eps: Fraction, T: int
 ) -> DualSolution:
@@ -199,33 +203,29 @@ def _assemble_dual(
     p, q = budget.rho_num, budget.rho_den
     scale = 1 + 2 * eps
     # grant totals t = ca*q + cb*p count units of 1/q over T iterations,
-    # so alpha = t * scale / (q*T); equal totals share one Fraction
+    # so alpha = t * scale / (q*T) = t * num / den
     num, den = scale.numerator, q * T * scale.denominator
-    alpha: dict[tuple[int, int], Fraction] = {}
-    values: dict[int, Fraction] = {}
-    edge_t = [0] * g.m
+    shares = [0] * (2 * g.m)
     vertex_ok = True
     for v in range(g.n):
-        ca, cb = outs[v]["ca"], outs[v]["cb"]
+        st = outs[v]
         vertex_t = 0
-        for i, eid in enumerate(g.adj[v]):
-            t = ca[i] * q + cb[i] * p
-            a = values.get(t)
-            if a is None:
-                a = values[t] = Fraction(t * num, den)
-            alpha[(eid, v)] = a
-            edge_t[eid] += t
+        for eid, u, a, b in zip(g.adj[v], g.neighbors(v), st["ca"], st["cb"]):
+            t = a * q + b * p
+            shares[2 * eid + (u < v)] = t * num
             vertex_t += t
         # sum alpha <= scale * z  <=>  vertex_t <= z * q * T
         if vertex_t * z.denominator > z.numerator * q * T:
             vertex_ok = False
-    # alpha_u + alpha_v >= 1  <=>  (t_u + t_v) * num >= den
-    feasible = vertex_ok and all(t * num >= den for t in edge_t)
-    width = max((_numeric_width(a) for a in values.values()), default=1)
+    # alpha_u + alpha_v >= 1  <=>  the edge's two shares sum to den or more
+    it = iter(shares)
+    feasible = vertex_ok and all(a + b >= den for a, b in zip(it, it))
+    # the widest reduced numerator; zero counts one bit
+    width = max([1, *((s // gcd(s, den)).bit_length() for s in set(shares))])
     views = tuple(
         (tuple(outs[v]["la"]), tuple(outs[v]["lb"])) for v in range(g.n)
     )
-    return DualSolution(alpha, z, eps, T, feasible, width, views)
+    return DualSolution(shares, den, g.edges, z, eps, T, feasible, width, views)
 
 
 def fractional_dual(
@@ -442,22 +442,21 @@ def alpha_bit_width(sol: DualSolution) -> int:
     T = sol.iterations
     if T & (T - 1):
         raise ValueError("bit-width accounting requires a power-of-two T")
-    width = max((_numeric_width(a) for a in sol.alpha.values()), default=1)
     bound = (
         T.bit_length() - 1 + (sol.eps.denominator.bit_length() - 1) + 4
     )
-    if width > bound:
+    if sol.bit_width > bound:
         raise AssertionError(
-            f"alpha width {width} exceeds the {bound}-bit guarantee"
+            f"alpha width {sol.bit_width} exceeds the {bound}-bit guarantee"
         )
-    return width
+    return sol.bit_width
 
 
 def alpha_fraction_bits(sol: DualSolution) -> int:
     """Max number of bits after the binary point across all alpha values."""
     bits = 0
-    for a in sol.alpha.values():
-        den = a.denominator
+    for s in set(sol.shares):
+        den = sol.den // gcd(s, sol.den)
         if den & (den - 1):
             raise ValueError("alpha denominators are not all powers of 2")
         bits = max(bits, den.bit_length() - 1)

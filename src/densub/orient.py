@@ -51,7 +51,6 @@ __all__ = [
     "path_decompose",
     "directed_split",
     "split_levels",
-    "orient_low_outdegree",
     "orient_low_outdegree_detailed",
     "OrientReport",
 ]
@@ -408,12 +407,9 @@ def orient_low_outdegree_detailed(
     delta = g.max_degree()
     t = min(alpha_fraction_bits(sol), ceil_log2(Fraction(delta) / eps2))
     scale = 1 << t
-    nu = [0] * g.m
-    nv = [0] * g.m
-    for eid, (u, v) in enumerate(g.edges):
-        au, av = sol.alpha[(eid, u)], sol.alpha[(eid, v)]
-        nu[eid] = -(-au.numerator * scale // au.denominator)
-        nv[eid] = -(-av.numerator * scale // av.denominator)
+    # ceil(alpha * 2^t) on each side; side 0 is u, the smaller endpoint
+    nu = [-(-x * scale // sol.den) for x in sol.shares[::2]]
+    nv = [-(-x * scale // sol.den) for x in sol.shares[1::2]]
     records: list[IterationRecord] = []
     bound = (1 + eps1) * (1 + eps2) * dtilde
     if t > 0:
@@ -478,13 +474,3 @@ def orient_low_outdegree_detailed(
     trace.charge(8, g.m)
     orientation = Orientation(g.n, g.edges, tuple(dir_bits))
     return OrientReport(orientation, trace, records)
-
-
-def orient_low_outdegree(
-    g: Graph,
-    dtilde: int,
-    eps: Fraction,
-    T_override: int | None = None,
-) -> tuple[Orientation, RoundTrace]:
-    rep = orient_low_outdegree_detailed(g, dtilde, eps, T_override)
-    return rep.orientation, rep.trace

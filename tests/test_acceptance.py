@@ -40,7 +40,6 @@ from densub.oracle import (
 )
 from densub.orient import (
     directed_split,
-    orient_low_outdegree,
     orient_low_outdegree_detailed,
     path_decompose,
     split_levels,
@@ -149,15 +148,15 @@ def test_criterion_04_congest_compliance():
         _, _, tr4 = approx_densest(g, Fraction(1, 8), seed=5)
         traces = [tr1, tr2, tr3, tr4]
         if g.m and frac_ceil(d) >= 128:
-            _, tr5 = orient_low_outdegree(g, frac_ceil(d), Fraction(1, 4))
-            traces.append(tr5)
+            rep = orient_low_outdegree_detailed(g, frac_ceil(d), Fraction(1, 4))
+            traces.append(rep.trace)
         for tr in traces:
             assert tr.violations == []
             assert tr.max_message_bits <= cap
         checked.append(g.n)
     # the orientation pipeline at its own scale
     g = complete(129)
-    _, tr = orient_low_outdegree(g, 128, Fraction(1, 4), T_override=64)
+    tr = orient_low_outdegree_detailed(g, 128, Fraction(1, 4), T_override=64).trace
     assert tr.violations == []
     assert tr.max_message_bits <= 2 * (g.n - 1).bit_length()
     announce(4, f"no CONGEST violations on n = {checked} + K129 pipeline")
@@ -370,7 +369,8 @@ def test_criterion_12_determinism():
     x2 = approx_densest(g, Fraction(1, 8), seed=3)
     assert x1[0] == x2[0] and x1[1] == x2[1] and x1[2].to_json() == x2[2].to_json()
     gk = complete(129)
-    o1 = orient_low_outdegree(gk, 128, Fraction(1, 4), T_override=64)
-    o2 = orient_low_outdegree(gk, 128, Fraction(1, 4), T_override=64)
-    assert o1[0] == o2[0] and o1[1].to_json() == o2[1].to_json()
+    o1 = orient_low_outdegree_detailed(gk, 128, Fraction(1, 4), T_override=64)
+    o2 = orient_low_outdegree_detailed(gk, 128, Fraction(1, 4), T_override=64)
+    assert o1.orientation == o2.orientation
+    assert o1.trace.to_json() == o2.trace.to_json()
     announce(12, "schedules and repeat runs reproduce bit-identical reports")

@@ -14,7 +14,11 @@ import pytest
 from densub.detect_congest import approx_densest, congest_detect
 from densub.graphs import complete, erdos_renyi
 from densub.mwu import integral_primal
-from densub.orient import _split_edge_list, _weak_orient_edges, orient_low_outdegree
+from densub.orient import (
+    _split_edge_list,
+    _weak_orient_edges,
+    orient_low_outdegree_detailed,
+)
 
 G40 = erdos_renyi(40, 0.3, seed=0)
 
@@ -29,10 +33,10 @@ def _summary(trace):
 
 
 def _orient_k129():
-    _o, trace = orient_low_outdegree(
+    rep = orient_low_outdegree_detailed(
         complete(129), 128, Fraction(1, 4), T_override=64
     )
-    return trace
+    return rep.trace
 
 
 def _weak_g40():

@@ -86,6 +86,22 @@ class TestCli:
         assert (tmp_path / "lb.cycle").exists()
         assert (tmp_path / "lb.path").exists()
 
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (["--kind", "cycle"], "n"),
+            (["--kind", "erdos_renyi", "--params", "n=5"], "p"),
+            (["--kind", "barbell"], "clique_size, path_len"),
+        ],
+        ids=["cycle", "erdos_renyi", "barbell"],
+    )
+    def test_gen_missing_parameter_is_an_input_error(self, capsys, argv, missing):
+        # these once escaped as a KeyError traceback with exit 1
+        code, payload = run_json(capsys, ["gen"] + argv)
+        assert code == 2
+        assert payload["error"] == "ValueError"
+        assert payload["message"].endswith(f"needs the parameter(s) {missing}")
+
     def test_detect_local_c20(self, capsys, c20_file):
         code, payload = run_json(
             capsys,

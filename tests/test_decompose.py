@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from densub.decompose import Clustering, ldd, ldd_traced, shift_budget
+from densub.decompose import Clustering, ldd_traced, shift_budget
 from densub.graphs import Graph, cycle, erdos_renyi, path
 
 
@@ -46,19 +46,19 @@ def check_argmin_rule(g, clustering, shifts_by_wake):
 class TestLdd:
     def test_single_vertex(self):
         g = Graph(1, [])
-        c = ldd(g, Fraction(1, 2), seed=0)
+        c = ldd_traced(g, Fraction(1, 2), seed=0)[0]
         assert c.cluster_of == (0,)
         assert c.cut_edges == 0
 
     def test_deterministic(self):
         g = erdos_renyi(48, 0.1, seed=2)
-        a = ldd(g, Fraction(1, 4), seed=77)
-        b = ldd(g, Fraction(1, 4), seed=77)
+        a = ldd_traced(g, Fraction(1, 4), seed=77)[0]
+        b = ldd_traced(g, Fraction(1, 4), seed=77)[0]
         assert a == b
 
     def test_seed_changes_outcome(self):
         g = path(64)
-        outcomes = {ldd(g, Fraction(1, 2), seed=s).cluster_of for s in range(20)}
+        outcomes = {ldd_traced(g, Fraction(1, 2), seed=s)[0].cluster_of for s in range(20)}
         assert len(outcomes) > 1
 
     def test_rounds_within_budget(self):
@@ -69,7 +69,7 @@ class TestLdd:
     def test_connectivity_and_radius_100_graphs(self):
         for seed in range(100):
             g = erdos_renyi(128, 0.03, seed=seed)
-            c = ldd(g, Fraction(1, 4), seed=seed * 13 + 1)
+            c = ldd_traced(g, Fraction(1, 4), seed=seed * 13 + 1)[0]
             check_clusters_connected_and_bounded(g, c)
 
     def test_argmin_assignment_rule(self):
@@ -82,7 +82,7 @@ class TestLdd:
         g = erdos_renyi(40, 0.1, seed=8)
         eps = Fraction(1, 4)
         seed = 21
-        c = ldd(g, eps, seed)
+        c = ldd_traced(g, eps, seed)[0]
         budget = c.budget
         wake = {}
         for v in range(g.n):
@@ -100,7 +100,7 @@ class TestLdd:
         total = 0
         runs = 1000
         for s in range(runs):
-            total += ldd(g, eps, seed=s).cut_edges
+            total += ldd_traced(g, eps, seed=s)[0].cut_edges
         assert Fraction(total, runs * g.m) <= eps
 
     def test_cut_fraction_under_1_1_eps(self):
@@ -111,7 +111,7 @@ class TestLdd:
             total = 0
             runs = 500
             for s in range(runs):
-                total += ldd(g, eps, seed=s).cut_edges
+                total += ldd_traced(g, eps, seed=s)[0].cut_edges
             assert Fraction(total, runs * g.m) <= Fraction(11, 10) * eps
 
     def test_budget_formula(self):

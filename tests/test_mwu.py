@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -28,16 +29,68 @@ def star(leaves):
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+# fractional_dual(complete(5), 2, 1/8, T=64).to_json()["alpha"], and the
+# dual at z = 2, eps = 1/8, T = 8 of a triangle and a 4-cycle sharing the
+# edge (1, 2), as the tuple-keyed encoding printed them
+K5_ALPHA = [
+    [0, 0, "5/8"], [0, 1, "5/8"], [1, 0, "5/8"], [1, 2, "5/8"],
+    [2, 0, "5/8"], [2, 3, "5/8"], [3, 0, "5/8"], [3, 4, "5/8"],
+    [4, 1, "5/8"], [4, 2, "5/8"], [5, 1, "5/8"], [5, 3, "5/8"],
+    [6, 1, "5/8"], [6, 4, "5/8"], [7, 2, "5/8"], [7, 3, "5/8"],
+    [8, 2, "5/8"], [8, 4, "5/8"], [9, 3, "5/8"], [9, 4, "5/8"],
+]
+LOPSIDED_EDGES = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)]
+LOPSIDED_ALPHA = [
+    [0, 0, "5/4"], [0, 1, "15/16"], [1, 0, "5/4"], [1, 2, "15/16"],
+    [2, 1, "15/16"], [2, 2, "15/16"], [3, 1, "5/8"], [3, 4, "25/16"],
+    [4, 2, "5/8"], [4, 3, "25/16"], [5, 3, "15/16"], [5, 4, "15/16"],
+]
+
+
+def alpha_of(sol):
+    """{(edge, vertex): alpha} in plain Fractions, from the slot shares."""
+    ends = chain.from_iterable(sol.edges)
+    return {(x // 2, v): Fraction(s, sol.den) for x, (v, s) in enumerate(zip(ends, sol.shares))}
+
+
 def dual_feasible_for(sol, g, z):
     """Independent exact feasibility check at cost (1+2*eps)*z."""
+    alpha = alpha_of(sol)
     cap = (1 + 2 * sol.eps) * z
     for eid, (u, v) in enumerate(g.edges):
-        if sol.alpha[(eid, u)] + sol.alpha[(eid, v)] < 1:
+        if alpha[(eid, u)] + alpha[(eid, v)] < 1:
             return False
     for u in range(g.n):
-        if sum(sol.alpha[(eid, u)] for eid in g.adj[u]) > cap:
+        if sum(alpha[(eid, u)] for eid in g.adj[u]) > cap:
             return False
     return True
+
+
+def check_widths_against_fractions(sol, alpha):
+    """bit_width, alpha_bit_width and alpha_fraction_bits against their
+    definitions over the plain-Fraction values."""
+    values = list(alpha.values())
+    width = max((max(a.numerator.bit_length(), 1) for a in values), default=1)
+    assert sol.bit_width == width
+    dens = [a.denominator for a in values]
+    if all(d & (d - 1) == 0 for d in dens):
+        frac_bits = max((d.bit_length() - 1 for d in dens), default=0)
+        assert alpha_fraction_bits(sol) == frac_bits
+    else:
+        with pytest.raises(ValueError, match="not all powers of 2"):
+            alpha_fraction_bits(sol)
+    T, eps_den = sol.iterations, sol.eps.denominator
+    dyadic = sol.eps.numerator == 1 and eps_den & (eps_den - 1) == 0
+    if sol.z.denominator == 1 and dyadic and T & (T - 1) == 0:
+        bound = T.bit_length() - 1 + eps_den.bit_length() - 1 + 4
+        if width <= bound:
+            assert alpha_bit_width(sol) == width
+        else:
+            with pytest.raises(AssertionError):
+                alpha_bit_width(sol)
+    else:
+        with pytest.raises(ValueError):
+            alpha_bit_width(sol)
 
 
 class TestFractionalDual:
@@ -46,7 +99,8 @@ class TestFractionalDual:
         # iteration, so alpha = 1 * (1 + 2*(1/4)) = 3/2 on both sides
         g = Graph(2, [(0, 1)])
         sol, _ = fractional_dual(g, Fraction(1), Fraction(1, 5), T_override=16)
-        assert sol.alpha[(0, 0)] == sol.alpha[(0, 1)] == 1 + 2 * Fraction(1, 5)
+        alpha = alpha_of(sol)
+        assert alpha[(0, 0)] == alpha[(0, 1)] == 1 + 2 * Fraction(1, 5)
         assert sol.feasible
 
     def test_single_edge_alpha_three_halves(self):
@@ -54,7 +108,8 @@ class TestFractionalDual:
         sol, _ = fractional_dual(
             g, Fraction(1), Fraction(1, 4) - Fraction(1, 64), T_override=8
         )
-        assert sol.alpha[(0, 0)] == 1 + 2 * (Fraction(1, 4) - Fraction(1, 64))
+        alpha = alpha_of(sol)
+        assert alpha[(0, 0)] == 1 + 2 * (Fraction(1, 4) - Fraction(1, 64))
 
     def test_triangle_feasible(self):
         g = complete(3)
@@ -65,9 +120,10 @@ class TestFractionalDual:
     def test_star_leaf_side_is_enough(self):
         g = star(3)
         sol, _ = fractional_dual(g, Fraction(1), Fraction(1, 8), T_override=32)
+        alpha = alpha_of(sol)
         for eid, (u, v) in enumerate(g.edges):
             leaf = v if u == 0 else u
-            assert sol.alpha[(eid, leaf)] == 1 + 2 * Fraction(1, 8)
+            assert alpha[(eid, leaf)] == 1 + 2 * Fraction(1, 8)
         assert sol.feasible
 
     def test_feasible_whenever_z_at_least_density(self):
@@ -87,16 +143,18 @@ class TestFractionalDual:
         g = complete(6)
         z, eps = Fraction(3), Fraction(1, 8)
         sol, _ = fractional_dual(g, z, eps, T_override=40)
+        alpha = alpha_of(sol)
         for u in range(g.n):
-            total = sum(sol.alpha[(eid, u)] for eid in g.adj[u])
+            total = sum(alpha[(eid, u)] for eid in g.adj[u])
             assert total == (1 + 2 * eps) * z
 
     def test_budget_conservation_low_degree(self):
         g = star(2)  # leaves have degree 1 < ceil(z/2) for z = 4
         z, eps = Fraction(4), Fraction(1, 8)
         sol, _ = fractional_dual(g, z, eps, T_override=16)
+        alpha = alpha_of(sol)
         for leaf in (1, 2):
-            total = sum(sol.alpha[(eid, leaf)] for eid in g.adj[leaf])
+            total = sum(alpha[(eid, leaf)] for eid in g.adj[leaf])
             assert total == (1 + 2 * eps) * 2  # one edge, grant 2 always
 
     def test_load_symmetry(self):
@@ -150,20 +208,29 @@ class TestFractionalDual:
             for eps in (Fraction(1, 4), Fraction(1, 8)):
                 sol, _ = fractional_dual(g, z, eps, T_override=T)
                 assert sol.feasible == dual_feasible_for(sol, g, z)
+                alpha = alpha_of(sol)
+                check_widths_against_fractions(sol, alpha)
                 tight = any(
-                    sol.alpha[(eid, u)] + sol.alpha[(eid, v)] == 1
+                    alpha[(eid, u)] + alpha[(eid, v)] == 1
                     for eid, (u, v) in enumerate(g.edges)
                 )
                 tight_edges += tight
                 feasible_tight_edges += sol.feasible and tight
                 cap = (1 + 2 * eps) * z
                 tight_vertices += sol.feasible and any(
-                    sum(sol.alpha[(eid, u)] for eid in g.adj[u]) == cap
+                    sum(alpha[(eid, u)] for eid in g.adj[u]) == cap
                     for u in range(g.n)
                 )
         assert tight_edges >= 1
         assert feasible_tight_edges >= 1  # path(2) at z = 1/3, eps = 1/4
         assert tight_vertices >= 1
+
+    def test_alpha_lists_pinned(self):
+        sol, _ = fractional_dual(complete(5), Fraction(2), Fraction(1, 8), T_override=64)
+        assert sol.to_json()["alpha"] == K5_ALPHA
+        g = Graph(5, LOPSIDED_EDGES)
+        sol, _ = fractional_dual(g, Fraction(2), Fraction(1, 8), T_override=8)
+        assert sol.to_json()["alpha"] == LOPSIDED_ALPHA
 
     def test_json_round_shape(self):
         g = Graph(2, [(0, 1)])
@@ -248,9 +315,8 @@ class TestBitWidth:
         assert w <= 6 + 3 + 4 - 1 or w <= 12
 
     def test_zero_alpha_counts_one_bit(self):
-        from densub.mwu import _numeric_width
-
-        assert _numeric_width(Fraction(0)) == 1
+        sol, _ = fractional_dual(Graph(4, []), Fraction(1), Fraction(1, 8), T_override=8)
+        assert sol.shares == [] and sol.bit_width == 1
 
     def test_hypotheses_enforced(self):
         g = Graph(2, [(0, 1)])

@@ -12,7 +12,6 @@ from densub.orient import (
     _split_edge_list,
     _weak_orient_edges,
     directed_split,
-    orient_low_outdegree,
     orient_low_outdegree_detailed,
     path_decompose,
     split_levels,
@@ -264,17 +263,17 @@ class TestOrientPipeline:
     def test_preconditions(self):
         g = complete(20)
         with pytest.raises(ValueError):
-            orient_low_outdegree(g, 128, Fraction(1, 3))  # not a power of 2
+            orient_low_outdegree_detailed(g, 128, Fraction(1, 3))  # not a power of 2
         with pytest.raises(ValueError):
-            orient_low_outdegree(g, 64, Fraction(1, 4))  # 32/64 > 1/4
+            orient_low_outdegree_detailed(g, 64, Fraction(1, 4))  # 32/64 > 1/4
 
     def test_tree_with_large_dtilde(self):
         # contract only promises (1+eps)*dtilde even though trees are
         # 1-orientable
         g = path(40)
-        o, trace = orient_low_outdegree(
+        o = orient_low_outdegree_detailed(
             g, 129, Fraction(1, 4), T_override=32
-        )
+        ).orientation
         assert o.max_outdeg() <= (1 + Fraction(1, 4)) * 129
 
     def test_k129_complete(self):
@@ -291,7 +290,8 @@ class TestOrientPipeline:
 
     def test_orientation_covers_every_edge_once(self):
         g = complete(129)
-        o, _ = orient_low_outdegree(g, 128, Fraction(1, 4), T_override=64)
+        rep = orient_low_outdegree_detailed(g, 128, Fraction(1, 4), T_override=64)
+        o = rep.orientation
         assert len(o.dir_bits) == g.m
         outs = o.outdegs()
         ins = o.indegs()
@@ -301,13 +301,14 @@ class TestOrientPipeline:
 
     def test_determinism(self):
         g = complete(129)
-        a = orient_low_outdegree(g, 128, Fraction(1, 4), T_override=64)
-        b = orient_low_outdegree(g, 128, Fraction(1, 4), T_override=64)
-        assert a[0] == b[0]
-        assert a[1].to_json() == b[1].to_json()
+        a = orient_low_outdegree_detailed(g, 128, Fraction(1, 4), T_override=64)
+        b = orient_low_outdegree_detailed(g, 128, Fraction(1, 4), T_override=64)
+        assert a.orientation == b.orientation
+        assert a.trace.to_json() == b.trace.to_json()
 
     def test_congest_compliance(self):
         g = complete(129)
-        _, trace = orient_low_outdegree(g, 128, Fraction(1, 4), T_override=64)
+        rep = orient_low_outdegree_detailed(g, 128, Fraction(1, 4), T_override=64)
+        trace = rep.trace
         assert trace.violations == []
         assert trace.max_message_bits <= 2 * 8
