@@ -9,6 +9,7 @@ check in the run passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -21,40 +22,17 @@ from . import mwu
 from . import oracle
 from . import orient as ort
 from .decompose import ldd_traced
-from .engine import RoundTrace
 from .graphs import Graph, density, format_ratio, parse_ratio
 
 ORACLE_EDGE_LIMIT = 20000
 
 
-def _read_graph(path_arg: str):
-    with open(path_arg, "r", encoding="utf-8") as f:
-        return G.read_edge_list(f.read())
-
-
-def _load_graph(path_arg: str) -> Graph:
-    """An undirected graph; only `exact --brute` reads directed edge lists."""
-    g = _read_graph(path_arg)
-    if isinstance(g, G.DirectedGraph):
-        raise ValueError(
-            f"{path_arg}: this command needs an undirected graph, but the "
-            "edge list has an 'n m directed' header"
-        )
-    return g
-
-
-def _graph_stats(g, d: Fraction | None = None) -> dict:
-    """n, m, max degree and D; pass D when the caller already computed it."""
-    stats = {"n": g.n, "m": g.m}
-    if isinstance(g, Graph):
-        stats["max_degree"] = g.max_degree()
-        if 1 <= g.m <= ORACLE_EDGE_LIMIT:
-            if d is None:
-                d = oracle.exact_densest(g).value
-            stats["oracle_density"] = format_ratio(d)
-        else:
-            stats["oracle_density"] = None
-    return stats
+def _graph_stats(g, oracle_result) -> dict:
+    if not isinstance(g, Graph):
+        return {"n": g.n, "m": g.m}
+    d = oracle_result().value if 1 <= g.m <= ORACLE_EDGE_LIMIT else None
+    return {"n": g.n, "m": g.m, "max_degree": g.max_degree(),
+            "oracle_density": None if d is None else format_ratio(d)}
 
 
 def _parse_params(text: str | None) -> dict:
@@ -68,37 +46,29 @@ def _parse_params(text: str | None) -> dict:
     return out
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
-def _report(args, g, result: dict, check: dict | None, trace: RoundTrace | None,
-            t0: float, d: Fraction | None = None):
-    payload = {
-        "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args.cmd,
-        "graph": _graph_stats(g, d) if g is not None else None,
-        "result": result,
-        "check": check,
-        "trace": trace.to_json() if trace is not None else None,
-        "wall_time_s": round(time.time() - t0, 3),
-    }
-    _emit(args, payload)
-    if check is not None and not check.get("pass", True):
-        return 1
-    return 0
+def _check(bound, achieved, ok: bool) -> dict:
+    """A guarantee check; a Fraction or int prints as "p/q", a sentence or a
+    bool as itself."""
+
+    def show(x):
+        return str(x) if isinstance(x, (str, bool)) else format_ratio(x)
+
+    return {"bound": show(bound), "achieved": show(achieved), "pass": bool(ok)}
 
 
-def _check(bound: Fraction, achieved: Fraction, ok: bool) -> dict:
-    return {
-        "bound": format_ratio(bound),
-        "achieved": format_ratio(achieved),
-        "pass": bool(ok),
-    }
+def _marked_check(g: Graph, marked, dtilde: Fraction, eps: Fraction) -> dict:
+    """density(marked) >= (1-eps)*dtilde; an empty output is sound for any
+    dtilde."""
+    bound = (1 - eps) * dtilde
+    if not len(marked):
+        return _check(bound, 0, True)
+    achieved = density(g, marked)
+    return _check(bound, achieved, achieved >= bound)
 
 
 def cmd_gen(args) -> int:
@@ -109,14 +79,12 @@ def cmd_gen(args) -> int:
             raise UsageError("--out is required for lowerbound_pair")
         names = [args.out + ".cycle", args.out + ".path"]
         for g, name in zip(made, names):
-            with open(name, "w", encoding="utf-8") as f:
-                f.write(G.write_edge_list(g))
+            _write(name, G.write_edge_list(g))
         sys.stdout.write(json.dumps({"written": names}) + "\n")
         return 0
     text = G.write_edge_list(made)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        _write(args.out, text)
         sys.stdout.write(
             json.dumps({"written": [args.out], "n": made.n, "m": made.m}) + "\n"
         )
@@ -125,70 +93,51 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_exact(args) -> int:
-    t0 = time.time()
-    g = (_read_graph if args.brute else _load_graph)(args.infile)
-    if args.brute:
-        res = (
-            oracle.brute_directed_densest(g)
-            if isinstance(g, G.DirectedGraph)
-            else oracle.brute_densest(g)
-        )
+# Every graph command below is a handler (args, g, oracle_result) ->
+# (result, check, trace); main reads g, times the call and writes the report.
+# oracle_result() is oracle.exact_densest(g), computed at most once per report.
+
+
+def cmd_exact(args, g, oracle_result):
+    if not args.brute:
+        res = oracle_result()
+    elif isinstance(g, G.DirectedGraph):
+        res = oracle.brute_directed_densest(g)
     else:
-        res = oracle.exact_densest(g)
+        res = oracle.brute_densest(g)
     if isinstance(res.best_subset, tuple):
         s, t = res.best_subset
-        result = {
-            "D_squared": format_ratio(res.value),
-            "S": list(s.ids()),
-            "T": list(t.ids()),
-        }
-        return _report(args, g, result, None, None, t0)
-    result = {
-        "D": format_ratio(res.value),
-        "witness": list(res.best_subset.ids()),
-    }
-    return _report(args, g, result, None, None, t0, res.value)
+        result = {"D_squared": format_ratio(res.value),
+                  "S": list(s.ids()), "T": list(t.ids())}
+    else:
+        result = {"D": format_ratio(res.value),
+                  "witness": list(res.best_subset.ids())}
+    return result, None, None
 
 
-def cmd_detect_local(args) -> int:
-    t0 = time.time()
-    g = _load_graph(args.infile)
+def cmd_detect_local(args, g, oracle_result):
     dtilde, eps = parse_ratio(args.dtilde), parse_ratio(args.eps)
     out, trace = dl.local_detect(g, dtilde, eps)
     result = out.to_json(g, trace.rounds_executed)
-    bound = (1 - eps) * dtilde
-    if len(out.marked):
-        achieved = density(g, out.marked)
-        ok = achieved >= bound
-    else:
-        achieved = Fraction(0)
-        ok = True  # empty output is sound for any dtilde
-    return _report(args, g, result, _check(bound, achieved, ok), trace, t0)
+    return result, _marked_check(g, out.marked, dtilde, eps), trace
 
 
-def cmd_detect_congest(args) -> int:
-    t0 = time.time()
-    g = _load_graph(args.infile)
+def cmd_detect_congest(args, g, oracle_result):
     dtilde, eps = parse_ratio(args.dtilde), parse_ratio(args.eps)
     sub, trace = dc.congest_detect(
         g, dtilde, eps, args.seed, trials_override=args.trials
     )
-    bound = (1 - eps) * dtilde
-    achieved = density(g, sub) if len(sub) else Fraction(0)
-    ok = achieved >= bound if len(sub) else True
+    check = _marked_check(g, sub, dtilde, eps)
     result = {
         "marked": list(sub.ids()),
-        "density": format_ratio(achieved) if len(sub) else None,
+        "density": check["achieved"] if len(sub) else None,
         "trials": args.trials or dc.default_trials(g.n),
         "rounds": trace.rounds_executed,
     }
-    return _report(args, g, result, _check(bound, achieved, ok), trace, t0)
+    return result, check, trace
 
 
-def cmd_approx(args) -> int:
-    t0 = time.time()
-    g = _load_graph(args.infile)
+def cmd_approx(args, g, oracle_result):
     eps = parse_ratio(args.eps)
     sub, dhat, trace = dc.approx_densest(g, eps, args.seed)
     result = {
@@ -197,127 +146,86 @@ def cmd_approx(args) -> int:
         "phases": dc.phase_count(g.n, eps) + 1,
         "rounds": trace.rounds_executed,
     }
-    check = d = None
+    check = None
     if 1 <= g.m <= ORACLE_EDGE_LIMIT:
-        d = oracle.exact_densest(g).value
-        bound = (1 - eps) * d / (1 + eps)
+        bound = (1 - eps) * oracle_result().value / (1 + eps)
         check = _check(bound, dhat, dhat >= bound)
-    return _report(args, g, result, check, trace, t0, d)
+    return result, check, trace
 
 
-def cmd_dual(args) -> int:
-    t0 = time.time()
-    g = _load_graph(args.infile)
+def cmd_dual(args, g, oracle_result):
     z, eps = parse_ratio(args.z), parse_ratio(args.eps)
     sol, trace = mwu.fractional_dual(g, z, eps, T_override=args.T)
-    result = sol.to_json()
-    check = d = None
-    if 1 <= g.m <= ORACLE_EDGE_LIMIT:
-        d = oracle.exact_densest(g).value
-        if z >= d:
-            check = {
-                "bound": "feasible for DUAL((1+2eps)z) since z >= D",
-                "achieved": str(sol.feasible),
-                "pass": sol.feasible,
-            }
-    return _report(args, g, result, check, trace, t0, d)
+    check = None
+    if 1 <= g.m <= ORACLE_EDGE_LIMIT and z >= oracle_result().value:
+        check = _check(
+            "feasible for DUAL((1+2eps)z) since z >= D", sol.feasible, sol.feasible
+        )
+    return sol.to_json(), check, trace
 
 
-def cmd_primal(args) -> int:
-    t0 = time.time()
-    g = _load_graph(args.infile)
+def cmd_primal(args, g, oracle_result):
     z, eps = parse_ratio(args.z), parse_ratio(args.eps)
     sub, trace = mwu.integral_primal(g, z, eps, T_override=args.T)
-    bound = (1 - 3 * eps) * z
-    if sub is not None:
-        achieved = density(g, sub)
-        ok = achieved >= bound
-        result = {
-            "found": True,
-            "members": list(sub.ids()),
-            "density": format_ratio(achieved),
-            "rounds": trace.rounds_executed,
-        }
-        check = _check(bound, achieved, ok)
-    else:
+    if sub is None:
         # the testable contract is the disjunction with the dual run
         sol, _ = mwu.fractional_dual(g, z, eps, T_override=args.T)
         result = {"found": False, "rounds": trace.rounds_executed}
-        check = {
-            "bound": "no output, so the dual at the same (z, eps) must be feasible",
-            "achieved": str(sol.feasible),
-            "pass": sol.feasible,
-        }
-    return _report(args, g, result, check, trace, t0)
+        bound = "no output, so the dual at the same (z, eps) must be feasible"
+        return result, _check(bound, sol.feasible, sol.feasible), trace
+    bound, achieved = (1 - 3 * eps) * z, density(g, sub)
+    result = {
+        "found": True,
+        "members": list(sub.ids()),
+        "density": format_ratio(achieved),
+        "rounds": trace.rounds_executed,
+    }
+    return result, _check(bound, achieved, achieved >= bound), trace
 
 
-def cmd_orient(args) -> int:
-    t0 = time.time()
-    g = _load_graph(args.infile)
+def cmd_orient(args, g, oracle_result):
     eps = parse_ratio(args.eps)
     rep = ort.orient_low_outdegree_detailed(
         g, args.dtilde, eps, T_override=args.T
     )
-    achieved = Fraction(rep.orientation.max_outdeg())
-    bound = (1 + eps) * args.dtilde
     if args.orient_out:
-        with open(args.orient_out, "w", encoding="utf-8") as f:
-            f.write(rep.orientation.to_text())
+        _write(args.orient_out, rep.orientation.to_text())
+    achieved = rep.orientation.max_outdeg()
+    bound = (1 + eps) * args.dtilde
     result = {
-        "max_outdeg": rep.orientation.max_outdeg(),
+        "max_outdeg": achieved,
         "bound": f"(1+{args.eps})*{args.dtilde}",
         "rounds": rep.trace.rounds_executed,
     }
-    return _report(
-        args, g, result, _check(bound, achieved, achieved <= bound), rep.trace, t0
-    )
+    return result, _check(bound, achieved, achieved <= bound), rep.trace
 
 
-def cmd_split(args) -> int:
-    t0 = time.time()
-    g = _load_graph(args.infile)
+def cmd_split(args, g, oracle_result):
     eps = parse_ratio(args.eps)
     o, trace = ort.directed_split(g, eps)
+    if args.orient_out:
+        _write(args.orient_out, o.to_text())
     outs, ins = o.outdegs(), o.indegs()
     gap = [abs(outs[v] - ins[v]) for v in range(g.n)]
     worst = max(
         (gap[v] - eps * g.degree(v) for v in range(g.n)), default=Fraction(0)
     )
-    if args.orient_out:
-        with open(args.orient_out, "w", encoding="utf-8") as f:
-            f.write(o.to_text())
-    result = {"max_discrepancy": max(gap, default=0)}
-    check = {
-        "bound": f"eps*deg(v)+12 with eps={args.eps}",
-        "achieved": format_ratio(worst),
-        "pass": worst <= 12,
-    }
-    return _report(args, g, result, check, trace, t0)
+    check = _check(f"eps*deg(v)+12 with eps={args.eps}", worst, worst <= 12)
+    return {"max_discrepancy": max(gap, default=0)}, check, trace
 
 
-def cmd_weak_orient(args) -> int:
-    t0 = time.time()
-    g = _load_graph(args.infile)
+def cmd_weak_orient(args, g, oracle_result):
     res = ort.weak_orientation(g)
-    outs = res.orientation.outdegs()
-    ok = all(outs[v] >= g.degree(v) // 3 for v in range(g.n))
     if args.orient_out:
-        with open(args.orient_out, "w", encoding="utf-8") as f:
-            f.write(res.orientation.to_text())
-    result = {"phases": res.phases, "min_slack": min(
-        (outs[v] - g.degree(v) // 3 for v in range(g.n)), default=0
-    )}
-    check = {
-        "bound": "outdeg(v) >= floor(deg(v)/3)",
-        "achieved": str(ok),
-        "pass": ok,
-    }
-    return _report(args, g, result, check, res.charge, t0)
+        _write(args.orient_out, res.orientation.to_text())
+    outs = res.orientation.outdegs()
+    min_slack = min((outs[v] - g.degree(v) // 3 for v in range(g.n)), default=0)
+    ok = min_slack >= 0
+    result = {"phases": res.phases, "min_slack": min_slack}
+    return result, _check("outdeg(v) >= floor(deg(v)/3)", ok, ok), res.charge
 
 
-def cmd_ldd(args) -> int:
-    t0 = time.time()
-    g = _load_graph(args.infile)
+def cmd_ldd(args, g, oracle_result):
     eps = parse_ratio(args.eps)
     clustering, trace = ldd_traced(g, eps, args.seed)
     # every cluster is connected, with radius <= budget around its center
@@ -333,12 +241,8 @@ def cmd_ldd(args) -> int:
         "budget": clustering.budget,
         "rounds": trace.rounds_executed,
     }
-    check = {
-        "bound": f"in-cluster radius <= {clustering.budget}, clusters connected",
-        "achieved": str(ok),
-        "pass": ok,
-    }
-    return _report(args, g, result, check, trace, t0)
+    bound = f"in-cluster radius <= {clustering.budget}, clusters connected"
+    return result, _check(bound, ok, ok), trace
 
 
 def _positive_int(text: str) -> int:
@@ -432,9 +336,34 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand. Input errors, argparse's included, are one JSON
     {"error", "message"} object on stdout with exit code 2."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        if args.cmd == "gen":
+            return cmd_gen(args)
+        t0 = time.time()
+        with open(args.infile, "r", encoding="utf-8") as f:
+            g = G.read_edge_list(f.read())
+        if isinstance(g, G.DirectedGraph) and not (args.cmd == "exact" and args.brute):
+            raise ValueError(
+                f"{args.infile}: this command needs an undirected graph, but "
+                "the edge list has an 'n m directed' header"
+            )
+        oracle_result = functools.cache(lambda: oracle.exact_densest(g))
+        result, check, trace = args.func(args, g, oracle_result)
+        text = json.dumps({
+            "command": " ".join(argv),
+            "graph": _graph_stats(g, oracle_result),
+            "result": result,
+            "check": check,
+            "trace": None if trace is None else trace.to_json(),
+            "wall_time_s": round(time.time() - t0, 3),
+        }, indent=2) + "\n"
+        if args.out:
+            _write(args.out, text)
+        else:
+            sys.stdout.write(text)
+        return 0 if check is None or check["pass"] else 1
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stdout.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)})

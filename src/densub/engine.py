@@ -424,37 +424,25 @@ def collect_ball(g: Graph, r: int):
     return balls, trace
 
 
-def component_aggregate(g: Graph, values: Sequence, op: str):
-    """Every vertex learns an aggregate of `values` over its component.
+def component_aggregate(g: Graph, values: Sequence):
+    """Every vertex learns the minimum of `values` over its component.
 
     Stands for a convergecast plus broadcast on a BFS tree rooted at each
     component's minimum-id vertex: rounds charged are 2*diameter+2 (max
     over components); each tree edge carries one value-sized word up and
-    one down.
-
-    op is one of "min", "or", "sum". Returns (per-vertex result, trace).
+    one down. Returns (per-vertex result, trace).
     """
     if len(values) != g.n:
         raise ValueError("need one value per vertex")
-    if op not in ("min", "or", "sum"):
-        raise ValueError(f"unsupported aggregate {op!r}")
     result = [None] * g.n
     trace = RoundTrace()
     for comp in g.components():
-        vals = [values[v] for v in comp]
-        if op == "min":
-            agg = min(vals)
-        elif op == "or":
-            agg = any(vals)
-        else:
-            agg = sum(vals)
+        agg = min(values[v] for v in comp)
         for v in comp:
             result[v] = agg
         diam = _component_diameter(g, comp)
         trace.rounds_executed = max(trace.rounds_executed, 2 * diam + 2)
-        tree_edges = len(comp) - 1
-        up = msg_bits(int(agg) if isinstance(agg, bool) else agg)
-        trace.charge(up, 2 * tree_edges)
+        trace.charge(msg_bits(agg), 2 * (len(comp) - 1))
     return result, trace
 
 
@@ -482,4 +470,4 @@ def _component_diameter(g: Graph, comp: list[int]) -> int:
 
 
 def component_min(g: Graph, values: Sequence):
-    return component_aggregate(g, values, "min")
+    return component_aggregate(g, values)

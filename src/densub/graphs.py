@@ -45,7 +45,10 @@ __all__ = [
 
 def parse_ratio(text: str) -> Fraction:
     """Parse an exact rational from a "p/q" or "p" string."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_ratio(q: Fraction | int) -> str:
@@ -282,7 +285,7 @@ class DirectedGraph:
     along an arc, so locality is measured on the underlying undirected graph.
     """
 
-    __slots__ = ("n", "arcs", "out_adj", "in_adj")
+    __slots__ = ("n", "arcs")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -300,13 +303,6 @@ class DirectedGraph:
                 raise ValueError(f"duplicate arc {canon[i]}")
         self.n = n
         self.arcs: tuple[tuple[int, int], ...] = tuple(canon)
-        out_adj: list[list[int]] = [[] for _ in range(n)]
-        in_adj: list[list[int]] = [[] for _ in range(n)]
-        for aid, (u, v) in enumerate(self.arcs):
-            out_adj[u].append(aid)
-            in_adj[v].append(aid)
-        self.out_adj = tuple(tuple(a) for a in out_adj)
-        self.in_adj = tuple(tuple(a) for a in in_adj)
 
     @property
     def m(self) -> int:
@@ -448,12 +444,6 @@ class DirectedDensity:
             return None
         return Fraction(rn, rd)
 
-    def __lt__(self, other: "DirectedDensity") -> bool:
-        return self.squared < other.squared
-
-    def __le__(self, other: "DirectedDensity") -> bool:
-        return self.squared <= other.squared
-
 
 def _isqrt_exact(x: int) -> int | None:
     r = math.isqrt(x)
@@ -546,6 +536,8 @@ def lowerbound_pair(eps: Fraction) -> tuple[Graph, Graph]:
     middle vertex whose small-radius view is identical in both graphs.
     """
     eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     k = Fraction(1, 10) / eps
     if k.denominator != 1 or k < 1:
         raise ValueError("1/(10*eps) must be a positive integer")
@@ -559,7 +551,7 @@ _GENERATORS = {
     "path": ("n", lambda params, seed: path(int(params["n"]))),
     "complete": ("n", lambda params, seed: complete(int(params["n"]))),
     "erdos_renyi": ("n p", lambda params, seed: erdos_renyi(
-        int(params["n"]), Fraction(str(params["p"])), seed
+        int(params["n"]), parse_ratio(str(params["p"])), seed
     )),
     "planted_dense": ("n_outer clique_size", lambda params, seed: planted_dense(
         int(params["n_outer"]), int(params["clique_size"]), seed
@@ -568,7 +560,7 @@ _GENERATORS = {
         int(params["clique_size"]), int(params["path_len"])
     )),
     "lowerbound_pair": ("eps", lambda params, seed: lowerbound_pair(
-        Fraction(str(params["eps"]))
+        parse_ratio(str(params["eps"]))
     )),
 }
 

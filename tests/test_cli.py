@@ -1,4 +1,6 @@
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -45,6 +47,21 @@ class TestCli:
             "n": 5, "m": 10, "max_degree": 4, "oracle_density": "2/1"
         }
         assert calls == [5]  # the report reuses D; the oracle runs once
+        for argv in (
+            ["approx", "--in", k5_file, "--eps", "1/8", "--seed", "1"],
+            ["dual", "--in", k5_file, "--z", "2/1", "--eps", "1/8", "--T", "64"],
+        ):
+            calls.clear()
+            code, payload = run_json(capsys, argv)
+            assert code == 0 and payload["check"]["pass"] is True
+            assert calls == [5], argv[0]
+
+    def test_command_is_the_argv_given_to_main(self, capsys, k5_file, monkeypatch):
+        # the field once echoed the host process's sys.argv instead
+        monkeypatch.setattr(sys, "argv", ["host.py", "--workload", "congest"])
+        code, payload = run_json(capsys, ["exact", "--in", k5_file])
+        assert code == 0
+        assert payload["command"] == f"exact --in {k5_file}"
 
     def test_exact_path_square_3000(self, capsys, tmp_path):
         # deep flow paths once overflowed a recursive max-flow search
@@ -101,6 +118,25 @@ class TestCli:
         assert code == 2
         assert payload["error"] == "ValueError"
         assert payload["message"].endswith(f"needs the parameter(s) {missing}")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dual", "--z", "1/0", "--eps", "1/8"], "zero denominator in '1/0'"),
+            (["gen", "--kind", "lowerbound_pair", "--params", "eps=1/0"],
+             "zero denominator in '1/0'"),
+            (["gen", "--kind", "lowerbound_pair", "--params", "eps=0"],
+             "eps must be positive, got 0"),
+        ],
+        ids=["dual-z", "gen-eps-zero-denominator", "gen-eps-zero"],
+    )
+    def test_zero_denominator_is_an_input_error(self, capsys, k5_file, argv, message):
+        # these once escaped as a ZeroDivisionError traceback with exit 1
+        if argv[0] == "dual":
+            argv = argv + ["--in", k5_file]
+        code, payload = run_json(capsys, argv)
+        assert code == 2
+        assert payload == {"error": "ValueError", "message": message}
 
     def test_detect_local_c20(self, capsys, c20_file):
         code, payload = run_json(
@@ -301,3 +337,55 @@ class TestCli:
         code, payload = run_json(capsys, ["exact", "--in", str(p)])
         assert code == 2
         assert "line 2" in payload["message"]
+
+
+# SHA-256 of each report minus wall_time_s and command, with sorted keys:
+# one case per command, both exact --brute readers and both primal branches.
+PINNED_REPORTS = [
+    ("exact", "exact --in k5",
+     "873a3784028ca1835f3b1e0a4d1326d475bd676bcdbe5825d4d9681dd5de01db"),
+    ("exact-brute", "exact --in g16 --brute",
+     "1199cac0ab08f698d6ece83d18c9ac7b8a5a282ac2a8c000017f49c6a882989a"),
+    ("exact-brute-directed", "exact --in d4 --brute",
+     "4bac3f08156315b5c237af2c3ef914d439e83e8ace025b17cb3a1e521a5339c8"),
+    ("detect-local", "detect-local --in g16 --dtilde 3/2 --eps 1/5",
+     "ddbdb84b4b58725ac24bb18d529afaab60cb927248e279cedab6d3b411c3a5e4"),
+    ("detect-congest", "detect-congest --in g16 --dtilde 3/2 --eps 1/8 --seed 3",
+     "8924949882bea2163f0ddb26604a38a96ca42e2b203eb72ceb230ab78e07222e"),
+    ("approx", "approx --in g16 --eps 1/8 --seed 1",
+     "6991ec05f5460c6ae0eedf085f2dfc3d759949a8f05551a89d8ce71c6b97460d"),
+    ("dual", "dual --in g16 --z 2/1 --eps 1/8 --T 64",
+     "62de2949b94193526a95ae647c117c24295329cda0185ff62b54f1cfd878b281"),
+    ("primal-found", "primal --in k5 --z 1/1 --eps 1/8 --T 64",
+     "2ddaad7809f4cdba8edadb7f3992b2f6ab9dcc5d86f2db814d014be0228292e9"),
+    ("primal-not-found", "primal --in k5 --z 4/1 --eps 1/8 --T 64",
+     "d6414efd7f1fb1b2eeea06f2157444f4d11ce4bd69ff0fcb08d696d784275b49"),
+    ("orient", "orient --in g16 --dtilde 128 --eps 1/4 --T 16",
+     "6ac65e0ac61efdf036776c8e53ceef7b04a0cef4e556a4a1d416ab4eef15aacc"),
+    ("split", "split --in g16 --eps 1/8",
+     "2e82396b888e8d1e89d5fd15486713c7c5de5ad989c25f53399ca6ae5dec7501"),
+    ("weak-orient", "weak-orient --in g16",
+     "786fb68ad764ae494c3d30e39deb54d33e75d0ba1759189b1b949ae4ab6470ed"),
+    ("ldd", "ldd --in g16 --eps 1/4 --seed 7",
+     "3288644fcf57e1194239ab112aa11b9d5746c4397eeacd0a77a48b333be3d7e0"),
+]
+
+
+@pytest.mark.parametrize("case, argv, digest", PINNED_REPORTS,
+                         ids=[case for case, _, _ in PINNED_REPORTS])
+def test_report_is_pinned(capsys, tmp_path, case, argv, digest):
+    texts = {
+        "k5": write_edge_list(complete(5)),
+        "g16": write_edge_list(erdos_renyi(16, 0.3, seed=3)),
+        "d4": "4 4 directed\n0 1\n0 2\n1 2\n3 0\n",
+    }
+    argv = argv.split()
+    name = argv[argv.index("--in") + 1]
+    path = tmp_path / f"{name}.el"
+    path.write_text(texts[name], encoding="utf-8")
+    argv = [str(path) if a == name else a for a in argv]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    del payload["wall_time_s"], payload["command"]
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text

@@ -12,7 +12,6 @@ from densub.engine import (
     VertexContext,
     VertexProgram,
     collect_ball,
-    component_aggregate,
     component_min,
     knowledge_states,
     msg_bits,
@@ -656,11 +655,6 @@ class TestComponentAggregates:
         g = Graph(5, [(0, 1), (2, 3)])
         res, _ = component_min(g, [9, 2, 7, 5, 4])
         assert res == [2, 2, 5, 5, 4]
-
-    def test_or_and_sum(self):
-        g = path(4)
-        assert component_aggregate(g, [0, 0, 1, 0], "or")[0] == [True] * 4
-        assert component_aggregate(g, [1, 2, 3, 4], "sum")[0] == [10] * 4
 
 
 class TestRoundTrace:
