@@ -17,7 +17,7 @@ from .engine import (
     SimConfig,
     VertexProgram,
     collect_ball,
-    component_min,
+    component_aggregate,
     knowledge_states,
     msg_bits,
     run,

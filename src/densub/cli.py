@@ -316,7 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("orient", cmd_orient, "(1+eps)*dtilde outdegree orientation")
     sp.add_argument("--dtilde", type=int, required=True)
     sp.add_argument("--eps", required=True)
-    sp.add_argument("--T", type=_positive_int, default=None, help=T_help)
+    sp.add_argument(
+        "--T", type=_positive_int, default=None,
+        help=T_help + "; must be a power of 2",
+    )
     sp.add_argument("--orient-out", default=None)
 
     sp = command("split", cmd_split, "balanced in/out orientation")

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import engine
 from .decompose import ldd_traced
 from .engine import (
     _MASK64,
     _MIX1,
     _MIX2,
     RoundTrace,
-    component_min,
     congest_cap,
     merge_parallel,
 )
@@ -156,7 +156,8 @@ def approx_densest(
         for v in sub.members:
             psi[v] = i
         guess *= 1 + eps
-    neg_best, agg_trace = component_min(g, [-p for p in psi])
+    # called through the module, so a wrapper installed there sees the call
+    neg_best, agg_trace = engine.component_aggregate(g, [-p for p in psi])
     trace.then(agg_trace)
     final = set()
     for v in range(g.n):

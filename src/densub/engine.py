@@ -29,7 +29,6 @@ __all__ = [
     "run",
     "knowledge_states",
     "collect_ball",
-    "component_min",
     "component_aggregate",
 ]
 
@@ -468,6 +467,3 @@ def _component_diameter(g: Graph, comp: list[int]) -> int:
         d += 1
     return d
 
-
-def component_min(g: Graph, values: Sequence):
-    return component_aggregate(g, values)

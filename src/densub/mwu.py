@@ -4,10 +4,11 @@ Both solvers run the same load dynamics as a CONGEST vertex program: in
 each iteration every vertex hands out z units of budget to its currently
 lightest incident edges (two units each to the lightest ceil(z/2)-1, the
 remainder rho = z - 2*(ceil(z/2)-1) to the next), and edge loads grow by
-the two endpoints' grants. Every load and grant is an integer pair (a, b)
-meaning a + b*rho, so a single small integer code per edge per round
-suffices on the wire; the exponential weights (1-eps)^load exist only in
-the analysis and are never materialized.
+the two endpoints' grants. With rho = p/q in lowest terms, every load and
+grant total is one integer per port counting units of 1/q, and a grant
+travels as one small code per edge per round (2 or rho); the exponential
+weights (1-eps)^load exist only in the analysis and are never
+materialized.
 
 The dual solver averages the grants into edge-endpoint values alpha that,
 for z at least the maximum subgraph density, form a feasible fractional
@@ -75,7 +76,6 @@ def load_range_bound(m: int, eps: Fraction) -> int:
 class _Budget:
     """Per-iteration grant shape derived from z."""
 
-    z: Fraction
     cz: int  # ceil(z/2)
     rho_num: int
     rho_den: int
@@ -84,7 +84,7 @@ class _Budget:
     def for_z(cls, z: Fraction) -> "_Budget":
         cz = frac_ceil(z / 2)
         rho = z - 2 * (cz - 1)
-        return cls(z, cz, rho.numerator, rho.denominator)
+        return cls(cz, rho.numerator, rho.denominator)
 
 
 class _LoadProgram(VertexProgram):
@@ -97,53 +97,44 @@ class _LoadProgram(VertexProgram):
     def init(self, ctx):
         deg = ctx.degree
         return {
-            "la": [0] * deg,  # load integer part per port
-            "lb": [0] * deg,  # load rho-multiples per port
-            "ca": [0] * deg,  # cumulative own grants, integer part
-            "cb": [0] * deg,  # cumulative own grants, rho-multiples
-            # grant order: (la*q + lb*p) * deg + i per port i; adjacency is
-            # sorted by edge id, so ties break by edge id
+            # grant order: load (in units of 1/q) * deg + i per port i;
+            # adjacency is sorted by edge id, so ties break by edge id
             "key": list(range(deg)),
-            "pend": None,  # (ports granted 2, port granted 1 or -1)
+            "tot": [0] * deg,  # own grants so far per port, units of 1/q
+            "pend": None,  # (ports granted 2, port granted rho or -1)
         }
 
     def step(self, ctx, state, rnd, inbox):
         b = self.b
-        la, lb, key = state["la"], state["lb"], state["key"]
-        deg = len(la)
-        up2, up1 = 2 * b.rho_den * deg, b.rho_num * deg
+        key = state["key"]
+        deg = len(key)
+        two, rho = 2 * b.rho_den, b.rho_num  # grant sizes in units of 1/q
+        up2, up1 = two * deg, rho * deg
         pend = state["pend"]
         if pend is not None:
             # apply iteration rnd-1: own grants plus partner codes
             twos, one = pend
             for i in twos:
-                la[i] += 2
                 key[i] += up2
             if one >= 0:
-                lb[one] += 1
                 key[one] += up1
             for i, code in inbox.items():
-                if code == 2:
-                    la[i] += 2
-                    key[i] += up2
-                else:
-                    lb[i] += 1
-                    key[i] += up1
+                key[i] += up2 if code == 2 else up1
         if rnd > self.T:
             state["pend"] = None
             return state, (), True
         # codes for this iteration: 2 for the lightest cz-1, 1 for the next
         cz = b.cz
         keys = sorted(key)
-        ca, cb = state["ca"], state["cb"]
+        tot = state["tot"]
         twos = [k % deg for k in keys[: cz - 1]]
         for i in twos:
-            ca[i] += 2
+            tot[i] += two
         outbox = [(2, twos)]
         one = -1
         if deg >= cz:
             one = keys[cz - 1] % deg
-            cb[one] += 1
+            tot[one] += rho
             outbox.append((1, (one,)))
         state["pend"] = (twos, one)
         return state, outbox, False
@@ -162,7 +153,6 @@ class DualSolution:
     iterations: int
     feasible: bool
     bit_width: int
-    load_views: tuple = field(repr=False, default=())
 
     def to_json(self) -> dict:
         text = {s: format_ratio(Fraction(s, self.den)) for s in set(self.shares)}
@@ -197,35 +187,27 @@ def _check_pre(
 
 
 def _assemble_dual(
-    g: Graph, outs, z: Fraction, eps: Fraction, T: int
+    g: Graph, outs, z: Fraction, eps: Fraction, T: int, q: int
 ) -> DualSolution:
-    budget = _Budget.for_z(z)
-    p, q = budget.rho_num, budget.rho_den
     scale = 1 + 2 * eps
-    # grant totals t = ca*q + cb*p count units of 1/q over T iterations,
+    # grant totals t count units of 1/q over T iterations,
     # so alpha = t * scale / (q*T) = t * num / den
     num, den = scale.numerator, q * T * scale.denominator
     shares = [0] * (2 * g.m)
     vertex_ok = True
     for v in range(g.n):
-        st = outs[v]
-        vertex_t = 0
-        for eid, u, a, b in zip(g.adj[v], g.neighbors(v), st["ca"], st["cb"]):
-            t = a * q + b * p
+        tot = outs[v]["tot"]
+        for eid, u, t in zip(g.adj[v], g.neighbors(v), tot):
             shares[2 * eid + (u < v)] = t * num
-            vertex_t += t
-        # sum alpha <= scale * z  <=>  vertex_t <= z * q * T
-        if vertex_t * z.denominator > z.numerator * q * T:
+        # sum alpha <= scale * z  <=>  sum(tot) <= z * q * T
+        if sum(tot) * z.denominator > z.numerator * q * T:
             vertex_ok = False
     # alpha_u + alpha_v >= 1  <=>  the edge's two shares sum to den or more
     it = iter(shares)
     feasible = vertex_ok and all(a + b >= den for a, b in zip(it, it))
     # the widest reduced numerator; zero counts one bit
     width = max([1, *((s // gcd(s, den)).bit_length() for s in set(shares))])
-    views = tuple(
-        (tuple(outs[v]["la"]), tuple(outs[v]["lb"])) for v in range(g.n)
-    )
-    return DualSolution(shares, den, g.edges, z, eps, T, feasible, width, views)
+    return DualSolution(shares, den, g.edges, z, eps, T, feasible, width)
 
 
 def fractional_dual(
@@ -244,7 +226,7 @@ def fractional_dual(
     budget = _Budget.for_z(z)
     cfg = SimConfig.congest(g.n, T + 2)
     outs, trace = run(g, _LoadProgram(budget, T), cfg)
-    return _assemble_dual(g, outs, z, eps, T), trace
+    return _assemble_dual(g, outs, z, eps, T, budget.rho_den), trace
 
 
 class _PrimalDetector:
@@ -260,10 +242,11 @@ class _PrimalDetector:
     accordingly; every word is also checked against the cap.
     """
 
-    def __init__(self, g: Graph, z: Fraction, eps: Fraction, cap: int):
+    def __init__(
+        self, g: Graph, z: Fraction, eps: Fraction, budget: _Budget, cap: int
+    ):
         self.cap = cap
-        b = _Budget.for_z(z)
-        self.cz = b.cz
+        self.cz = budget.cz
         thr = (1 - 3 * eps) * z
         self.thr_num = thr.numerator
         self.thr_den = thr.denominator
@@ -275,15 +258,18 @@ class _PrimalDetector:
                 comp_of[v] = ci
                 local[v] = x
         # per component, in edge-id order: where each edge's load is read
-        # (its smaller endpoint u, at its position i there) and its local
-        # endpoints; adjacency is sorted by edge id, so i counts u's
-        # earlier edges
-        at: list[list[tuple[int, int]]] = [[] for _ in comps]
+        # (its smaller endpoint u, at its position i there; adjacency is
+        # sorted by edge id, so i counts u's earlier edges), u's key
+        # divisor deg(u)*q and ceiling offset (q-1)*deg(u), and its local
+        # endpoints
+        q = budget.rho_den
+        at: list[list[tuple[int, int, int, int]]] = [[] for _ in comps]
         ends: list[list[tuple[int, int]]] = [[] for _ in comps]
         seen = [0] * g.n
         for u, v in g.edges:
             ci = comp_of[u]
-            at[ci].append((u, seen[u]))
+            du = g.degree(u)
+            at[ci].append((u, seen[u], du * q, (q - 1) * du))
             ends[ci].append((local[u], local[v]))
             seen[u] += 1
             seen[v] += 1
@@ -301,10 +287,6 @@ class _PrimalDetector:
                 _component_diameter(g, comp), load_range[mc],
             ))
         self.prev_lmin = [0] * len(comps)
-        # floor and ceiling of b*rho by b, grown in scan as loads grow
-        self.rho = (b.rho_num, b.rho_den)
-        self.rho_floor: list[int] = []
-        self.rho_ceil: list[int] = []
         self.trace = RoundTrace()
 
     def _charge_word(self, value: int, copies: int) -> None:
@@ -318,29 +300,23 @@ class _PrimalDetector:
     def scan(self, rnd: int, states):
         """Scan the loads after iteration rnd-1, read off the load states.
         Returns winners {comp_index: (l, V' ids)}."""
-        fl, cl = self.rho_floor, self.rho_ceil
-        p, q = self.rho
-        # an edge gains at most two rho-grants per iteration
-        for b in range(len(fl), 2 * rnd + 1):
-            fl.append(b * p // q)
-            cl.append(-(-b * p // q))
         cz, thr_num, thr_den = self.cz, self.thr_num, self.thr_den
-        las = [st["la"] for st in states]
-        lbs = [st["lb"] for st in states]
+        key_of = [st["key"] for st in states]
         winners = {}
         round_cost = 0
         for ci, comp, at, ends, nbrs, diam, load_range in self.parts:
             mc = len(at)
             tree_edges = len(comp) - 1
-            floors = [las[u][i] + fl[lbs[u][i]] for u, i in at]
+            # key // (deg*q) is floor(load): the port adds less than deg
+            floors = [key_of[u][i] // dq for u, i, dq, _ in at]
             l_min = min(floors)
             floor_max = max(floors)
             l_max = l_min + load_range
             # one int key per edge, ceil(load) * mc + local index, and a
             # sentinel past the window
             keys = [
-                (las[u][i] + cl[lbs[u][i]]) * mc + j
-                for j, (u, i) in enumerate(at)
+                (key_of[u][i] + up) // dq * mc + j
+                for j, (u, i, dq, up) in enumerate(at)
             ]
             keys.sort()
             keys.append((l_max + 1) * mc)
@@ -406,7 +382,7 @@ def integral_primal(
     z, eps, T = _check_pre(g.n, z, eps, T_override)
     budget = _Budget.for_z(z)
     cfg = SimConfig.congest(g.n, T + 2, cap_bits=cap_bits)
-    detector = _PrimalDetector(g, z, eps, cfg.cap_for(g.n))
+    detector = _PrimalDetector(g, z, eps, budget, cfg.cap_for(g.n))
     found: dict = {}
 
     def hook(rnd: int, states) -> bool:

@@ -380,8 +380,9 @@ def orient_low_outdegree_detailed(
     """Full pipeline: dual solve, bit snap, per-bit split rounding.
 
     Requires an integer dtilde >= D, eps a negative power of two with
-    32/dtilde <= eps <= 1/4. The resulting orientation has max outdegree
-    at most (1+eps)*dtilde (the exact recurrence value is reported).
+    32/dtilde <= eps <= 1/4, and a power-of-two T_override if one is
+    given. The resulting orientation has max outdegree at most
+    (1+eps)*dtilde (the exact recurrence value is reported).
     """
     eps = Fraction(eps)
     if dtilde < 1 or Fraction(dtilde).denominator != 1:
@@ -390,6 +391,10 @@ def orient_low_outdegree_detailed(
         raise ValueError("eps must be a negative power of 2")
     if not (Fraction(32, dtilde) <= eps <= Fraction(1, 4)):
         raise ValueError("need 32/dtilde <= eps <= 1/4")
+    if T_override is not None and T_override & (T_override - 1):
+        raise ValueError(
+            f"bit-width accounting requires a power-of-two T, got {T_override}"
+        )
     if g.m == 0:
         o = Orientation(g.n, g.edges, ())
         return OrientReport(o, RoundTrace())

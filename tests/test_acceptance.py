@@ -350,7 +350,7 @@ def test_criterion_12_determinism():
             schedule=schedule,
         )
         snap = (
-            tuple(tuple(o["la"]) for o in outs),
+            tuple(tuple(o["key"]) for o in outs),
             trace.to_json()["rounds"],
             trace.to_json()["total_bits"],
         )

@@ -87,7 +87,7 @@ class TestCli:
         assert out.read_text().startswith("6 6\n")
 
     def test_gen_lowerbound_pair(self, capsys, tmp_path):
-        stem = tmp_path / "lb"
+        stem = tmp_path / "pair"
         code = main(
             [
                 "gen",
@@ -100,8 +100,8 @@ class TestCli:
             ]
         )
         assert code == 0
-        assert (tmp_path / "lb.cycle").exists()
-        assert (tmp_path / "lb.path").exists()
+        assert (tmp_path / "pair.cycle").exists()
+        assert (tmp_path / "pair.path").exists()
 
     @pytest.mark.parametrize(
         "argv, missing",
@@ -137,6 +137,18 @@ class TestCli:
         code, payload = run_json(capsys, argv)
         assert code == 2
         assert payload == {"error": "ValueError", "message": message}
+
+    def test_orient_non_power_of_two_T_is_an_input_error(self, capsys, k5_file):
+        code, payload = run_json(
+            capsys,
+            ["orient", "--in", k5_file, "--dtilde", "128", "--eps", "1/4",
+             "--T", "100"],
+        )
+        assert code == 2
+        assert payload == {
+            "error": "ValueError",
+            "message": "bit-width accounting requires a power-of-two T, got 100",
+        }
 
     def test_detect_local_c20(self, capsys, c20_file):
         code, payload = run_json(

@@ -12,7 +12,7 @@ from densub.engine import (
     VertexContext,
     VertexProgram,
     collect_ball,
-    component_min,
+    component_aggregate,
     knowledge_states,
     msg_bits,
     run,
@@ -642,18 +642,18 @@ class TestKnowledgeStates:
 class TestComponentAggregates:
     def test_constant_values(self):
         g = cycle(8)
-        res, _ = component_min(g, [5] * 8)
+        res, _ = component_aggregate(g, [5] * 8)
         assert res == [5] * 8
 
     def test_p4_min_rounds(self):
         g = path(4)
-        res, trace = component_min(g, [3, 1, 4, 1])
+        res, trace = component_aggregate(g, [3, 1, 4, 1])
         assert res == [1, 1, 1, 1]
         assert trace.rounds_executed <= 8
 
     def test_two_components(self):
         g = Graph(5, [(0, 1), (2, 3)])
-        res, _ = component_min(g, [9, 2, 7, 5, 4])
+        res, _ = component_aggregate(g, [9, 2, 7, 5, 4])
         assert res == [2, 2, 5, 5, 4]
 
 

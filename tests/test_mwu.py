@@ -3,7 +3,10 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from densub.engine import SimConfig, run
 from densub.graphs import (
     Graph,
     Subset,
@@ -12,6 +15,7 @@ from densub.graphs import (
     cycle,
     density,
     erdos_renyi,
+    frac_ceil,
 )
 from densub.mwu import (
     DualSolution,
@@ -21,6 +25,8 @@ from densub.mwu import (
     fractional_dual,
     integral_primal,
     load_range_bound,
+    _Budget,
+    _LoadProgram,
 )
 from densub.oracle import exact_densest
 
@@ -45,6 +51,34 @@ LOPSIDED_ALPHA = [
     [2, 1, "15/16"], [2, 2, "15/16"], [3, 1, "5/8"], [3, 4, "25/16"],
     [4, 2, "5/8"], [4, 3, "25/16"], [5, 3, "15/16"], [5, 4, "15/16"],
 ]
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, [e for e in pairs if draw(st.booleans())])
+
+
+def reference_dynamics(g, z, T):
+    """The grant dynamics run centrally on Fraction loads: every iteration
+    each vertex grants 2 to its lightest ceil(z/2)-1 edges, ordered by
+    (load, edge id), and rho to the next; all grants apply together.
+    Returns (load per edge, own grants per vertex and port)."""
+    cz = frac_ceil(z / 2)
+    rho = z - 2 * (cz - 1)
+    load = [Fraction(0)] * g.m
+    amounts = [2] * (cz - 1) + [rho]
+    grants = [[Fraction(0)] * g.degree(v) for v in range(g.n)]
+    for _ in range(T):
+        added = [Fraction(0)] * g.m
+        for v in range(g.n):
+            order = sorted(g.adj[v], key=lambda e: (load[e], e))
+            for eid, amount in zip(order, amounts):
+                added[eid] += amount
+                grants[v][g.adj[v].index(eid)] += amount
+        load = [x + y for x, y in zip(load, added)]
+    return load, grants
 
 
 def alpha_of(sol):
@@ -159,12 +193,38 @@ class TestFractionalDual:
 
     def test_load_symmetry(self):
         g = erdos_renyi(20, 0.3, seed=6)
-        sol, _ = fractional_dual(g, Fraction(2), Fraction(1, 8), T_override=32)
+        outs, _ = run(
+            g,
+            _LoadProgram(_Budget.for_z(Fraction(2)), 32),
+            SimConfig.congest(g.n, 34),
+        )
         for eid, (u, v) in enumerate(g.edges):
             iu = g.adj[u].index(eid)
             iv = g.adj[v].index(eid)
-            assert sol.load_views[u][0][iu] == sol.load_views[v][0][iv]
-            assert sol.load_views[u][1][iu] == sol.load_views[v][1][iv]
+            load_u = outs[u]["key"][iu] // g.degree(u)
+            assert load_u == outs[v]["key"][iv] // g.degree(v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=small_graphs(),
+        z=st.sampled_from(
+            [1, Fraction(3, 2), 2, Fraction(5, 2), Fraction(7, 3), 4]
+        ),
+        T=st.integers(min_value=1, max_value=6),
+    )
+    def test_load_program_matches_fraction_reference(self, graph, z, T):
+        z = Fraction(z)
+        load, grants = reference_dynamics(graph, z, T)
+        budget = _Budget.for_z(z)
+        q = budget.rho_den
+        outs, _ = run(
+            graph, _LoadProgram(budget, T), SimConfig.congest(graph.n, T + 2)
+        )
+        for v in range(graph.n):
+            deg = graph.degree(v)
+            for i, eid in enumerate(graph.adj[v]):
+                assert outs[v]["key"][i] // deg == q * load[eid]
+                assert outs[v]["tot"][i] == q * grants[v][i]
 
     def test_congest_clean_on_n256(self):
         g = erdos_renyi(256, 0.03, seed=1)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import densub.orient as orient_module
 from densub.graphs import Graph, complete, cycle, erdos_renyi, path
 from densub.orient import (
     Orientation,
@@ -266,6 +267,17 @@ class TestOrientPipeline:
             orient_low_outdegree_detailed(g, 128, Fraction(1, 3))  # not a power of 2
         with pytest.raises(ValueError):
             orient_low_outdegree_detailed(g, 64, Fraction(1, 4))  # 32/64 > 1/4
+
+    def test_non_power_of_two_T_fails_before_the_dual(self, monkeypatch):
+        # once rejected only by alpha_bit_width, after all T dual rounds
+        def no_dual(*args, **kwargs):
+            raise AssertionError("fractional_dual ran")
+
+        monkeypatch.setattr(orient_module, "fractional_dual", no_dual)
+        with pytest.raises(ValueError, match="power-of-two T, got 100"):
+            orient_low_outdegree_detailed(
+                complete(20), 128, Fraction(1, 4), T_override=100
+            )
 
     def test_tree_with_large_dtilde(self):
         # contract only promises (1+eps)*dtilde even though trees are
