@@ -14,7 +14,6 @@ from .detect_local import (
 )
 from .engine import (
     RoundTrace,
-    SimConfig,
     VertexProgram,
     collect_ball,
     component_aggregate,

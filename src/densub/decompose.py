@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import RoundTrace, SimConfig, VertexProgram, run
+from .engine import RoundTrace, VertexProgram, congest_cap, run
 from .graphs import Graph, ceil_ln
 
 __all__ = ["Clustering", "ldd_traced", "shift_budget"]
@@ -84,8 +84,8 @@ def ldd_traced(
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
     budget = shift_budget(g.n, eps)
-    cfg = SimConfig.congest(g.n, budget + 2, seed=seed)
-    centers_of, trace = run(g, _ClusterRace(budget, float(eps)), cfg)
+    race = _ClusterRace(budget, float(eps))
+    centers_of, trace = run(g, race, budget + 2, congest_cap(g.n), seed)
     cut = sum(1 for u, v in g.edges if centers_of[u] != centers_of[v])
     centers = tuple(sorted({c for c in centers_of}))
     return (

@@ -2,10 +2,11 @@
 
 The generic `run` loop delivers each message on the ports it names, sized
 once, with exact bit accounting and deterministic results regardless of
-the order vertices are stepped in. LOCAL-model neighborhood gossip and spanning-tree aggregates are
-provided as engine primitives: their per-vertex results are computed
-directly from the graph while rounds and bits are charged according to the
-fixed protocol they stand for (see the respective docstrings).
+the order vertices are stepped in. LOCAL-model neighborhood gossip and
+spanning-tree aggregates are provided as engine primitives: their
+per-vertex results are computed directly from the graph while rounds and
+bits are charged according to the fixed protocol they stand for (see the
+respective docstrings).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Callable, Sequence
 from .graphs import Graph
 
 __all__ = [
-    "SimConfig",
     "congest_cap",
     "RoundTrace",
     "VertexContext",
@@ -32,42 +32,10 @@ __all__ = [
     "component_aggregate",
 ]
 
-LOCAL = "LOCAL"
-CONGEST = "CONGEST"
-
 _MIX1 = 0x9E3779B97F4A7C15
 _MIX2 = 0xBF58476D1CE4E5B9
 _MIX3 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass
-class SimConfig:
-    """Execution parameters for the simulator.
-
-    The CONGEST cap is 2 * ceil(log2 n) bits per edge per direction per
-    round; `cap_bits` overrides it (used when an algorithm runs on an
-    induced subgraph but must respect the full network's cap).
-    """
-
-    model: str = LOCAL
-    enforcement: str = "strict"
-    max_rounds: int = 1_000_000
-    seed: int = 0
-    cap_bits: int | None = None
-
-    @classmethod
-    def congest(
-        cls, n: int, max_rounds: int, seed: int = 0, cap_bits: int | None = None
-    ) -> "SimConfig":
-        """A CONGEST run on n vertices. The cap is enforced from 16 vertices
-        on; below that, where it can be narrower than the 8-bit minimum
-        word, oversized messages are only recorded as violations."""
-        enforcement = "strict" if n >= 16 else "permissive"
-        return cls(CONGEST, enforcement, max_rounds, seed, cap_bits)
-
-    def cap_for(self, n: int) -> int:
-        return congest_cap(n) if self.cap_bits is None else self.cap_bits
 
 
 def congest_cap(n: int) -> int:
@@ -159,20 +127,17 @@ def msg_bits(m) -> int:
         return 4 + sum(msg_bits(x) for x in m)
     if isinstance(m, (bytes, bytearray)):
         return 8 * len(m)
-    if isinstance(m, str):
-        return 8 * len(m.encode("utf-8"))
     raise TypeError(f"unsupported message type {type(m).__name__}")
 
 
 class VertexContext:
-    """Local view handed to a vertex program: its id, n, the edge id behind
+    """Local view handed to a vertex program: its id, the edge id behind
     each of its ports (`incident[port]`), and a PRNG."""
 
-    __slots__ = ("vertex", "n", "incident", "_seed")
+    __slots__ = ("vertex", "incident", "_seed")
 
-    def __init__(self, vertex, n, incident, seed):
+    def __init__(self, vertex, incident, seed):
         self.vertex = vertex
-        self.n = n
         self.incident = incident
         self._seed = seed
 
@@ -217,7 +182,9 @@ class VertexProgram:
 def run(
     g: Graph,
     program: VertexProgram,
-    cfg: SimConfig,
+    max_rounds: int = 1_000_000,
+    cap: int | None = None,
+    seed: int = 0,
     schedule: str = "forward",
     round_hook: Callable[[int, list], bool] | None = None,
 ):
@@ -225,6 +192,11 @@ def run(
 
     The run ends in the round the last vertex halts; mail still addressed
     to halted vertices is dropped. Returns (outputs, RoundTrace).
+    `cap=None` runs the LOCAL model: messages are unbounded. An int `cap`
+    is the CONGEST word in bits per edge per direction per round. It is
+    enforced (a longer message raises `CongestViolation`) from 16 vertices
+    on; below that, where it can be narrower than the 8-bit minimum word,
+    oversized messages are only recorded as violations.
     `schedule` permutes the order vertices are stepped within a round;
     results are identical for any schedule because all inboxes of a round
     are materialized before any step runs.
@@ -237,14 +209,12 @@ def run(
     Rounds, bits and outputs are those of stepping every vertex in every
     round.
     """
-    if cfg.max_rounds < 1:
+    if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     n = g.n
-    cap = cfg.cap_for(n)
-    strict = cfg.enforcement == "strict"
-    congest = cfg.model == CONGEST
+    strict = n >= 16
     adj = g.adj
-    ctxs = [VertexContext(v, n, adj[v], cfg.seed) for v in range(n)]
+    ctxs = [VertexContext(v, adj[v], seed) for v in range(n)]
     states = [program.init(ctxs[v]) for v in range(n)]
     halted = [False] * n
     inboxes: list[dict | None] = [None] * n
@@ -253,7 +223,7 @@ def run(
     if schedule == "reverse":
         order.reverse()
     elif schedule == "shuffled":
-        _random.Random(cfg.seed ^ _MIX2).shuffle(order)
+        _random.Random(seed ^ _MIX2).shuffle(order)
     elif schedule != "forward":
         raise ValueError(f"unknown schedule {schedule!r}")
 
@@ -275,11 +245,9 @@ def run(
     rnd = 0
     while live:
         if idle is not None and not (mailed or round_hook):
-            rnd = min(wakes[0][0] - 1, cfg.max_rounds)
-        if rnd == cfg.max_rounds:
-            raise MaxRoundsExceeded(
-                f"no global halt within {cfg.max_rounds} rounds"
-            )
+            rnd = min(wakes[0][0] - 1, max_rounds)
+        if rnd == max_rounds:
+            raise MaxRoundsExceeded(f"no global halt within {max_rounds} rounds")
         rnd += 1
         if idle is None:
             todo = order
@@ -317,7 +285,7 @@ def run(
                         bits = 8
                 else:
                     bits = msg_bits(m)
-                if congest and bits > cap:
+                if cap is not None and bits > cap:
                     if strict:
                         raise CongestViolation(rnd, adj[v][ports[0]], bits, cap)
                     violations += [(rnd, adj[v][i], bits) for i in ports]

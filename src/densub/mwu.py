@@ -26,9 +26,9 @@ from math import gcd
 
 from .engine import (
     RoundTrace,
-    SimConfig,
     VertexProgram,
     _component_diameter,
+    congest_cap,
     msg_bits,
     run,
 )
@@ -224,8 +224,7 @@ def fractional_dual(
     """
     z, eps, T = _check_pre(g.n, z, eps, T_override)
     budget = _Budget.for_z(z)
-    cfg = SimConfig.congest(g.n, T + 2)
-    outs, trace = run(g, _LoadProgram(budget, T), cfg)
+    outs, trace = run(g, _LoadProgram(budget, T), T + 2, congest_cap(g.n))
     return _assemble_dual(g, outs, z, eps, T, budget.rho_den), trace
 
 
@@ -381,8 +380,8 @@ def integral_primal(
     """
     z, eps, T = _check_pre(g.n, z, eps, T_override)
     budget = _Budget.for_z(z)
-    cfg = SimConfig.congest(g.n, T + 2, cap_bits=cap_bits)
-    detector = _PrimalDetector(g, z, eps, budget, cfg.cap_for(g.n))
+    cap = congest_cap(g.n) if cap_bits is None else cap_bits
+    detector = _PrimalDetector(g, z, eps, budget, cap)
     found: dict = {}
 
     def hook(rnd: int, states) -> bool:
@@ -394,7 +393,7 @@ def integral_primal(
             return True
         return False
 
-    _, trace = run(g, _LoadProgram(budget, T), cfg, round_hook=hook)
+    _, trace = run(g, _LoadProgram(budget, T), T + 2, cap, round_hook=hook)
     trace.then(detector.trace)
     if not found:
         return None, trace

@@ -10,6 +10,7 @@ round this out.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,14 +194,15 @@ def _tree_shares(g: Graph, comps: list[list[int]], cap: int) -> list[int]:
     return [cap - size[v] if parent[v] == u else size[u] for u, v in g.edges]
 
 
-def _peel_lower_bound(g: Graph) -> tuple[Fraction, set[int]]:
+def _peel_lower_bound(
+    g: Graph,
+) -> tuple[Fraction, set[int], list[int], list[int]]:
     """Best density among the suffixes of a min-degree peel order.
 
     Every suffix is a genuine subset, so the best one is an achievable
-    lower bound on D with its witness in hand.
+    lower bound on D with its witness in hand. Returns (bound, witness,
+    peel order, each peeled vertex's degree at its removal).
     """
-    import heapq
-
     deg = [g.degree(v) for v in range(g.n)]
     removed = [False] * g.n
     heap = [(deg[v], v) for v in range(g.n)]
@@ -209,12 +211,14 @@ def _peel_lower_bound(g: Graph) -> tuple[Fraction, set[int]]:
     best = Fraction(remaining_m, remaining_n)
     best_step = 0
     order = []
+    at = []
     while remaining_n > 0:
         d, v = heapq.heappop(heap)
         if removed[v] or d != deg[v]:
             continue
         removed[v] = True
         order.append(v)
+        at.append(d)
         remaining_n -= 1
         remaining_m -= deg[v]
         for u in g.neighbors(v):
@@ -227,7 +231,7 @@ def _peel_lower_bound(g: Graph) -> tuple[Fraction, set[int]]:
                 best = d_now
                 best_step = len(order)
     witness = set(range(g.n)) - set(order[:best_step])
-    return best, witness
+    return best, witness, order, at
 
 
 def exact_densest(g: Graph) -> OracleResult:
@@ -244,7 +248,7 @@ def exact_densest(g: Graph) -> OracleResult:
     Every answer is checked before it is returned (`_check_certificate`):
     the witness attains the value, and a fractional orientation of every
     edge loads no vertex above it. The orientation comes from the last
-    max flow on the core, from the strip order off the core (a stripped
+    max flow on the core, from the peel order off the core (a stripped
     vertex takes its edges to vertices stripped later or kept), and from
     subtree sizes on forests.
     """
@@ -260,24 +264,14 @@ def exact_densest(g: Graph) -> OracleResult:
         witness, den = best, len(best)
         give = _tree_shares(g, comps, den)
     else:
-        lo, witness = _peel_lower_bound(g)
-        # only vertices of degree > lo can belong to a subgraph denser than
-        # lo; gone[v] is v's strip rank, g.n for the core
-        core_deg = [g.degree(v) for v in range(g.n)]
+        lo, witness, order, at = _peel_lower_bound(g)
+        # the peel's vertices before the first one removed at degree > lo
+        # are V minus the (floor(lo)+1)-core, which holds every subgraph
+        # denser than lo; gone[v] is v's peel rank, g.n for the core
+        stripped = next((i for i, d in enumerate(at) if d > lo), g.n)
         gone = [g.n] * g.n
-        stripped = 0
-        doomed = deque(v for v in range(g.n) if core_deg[v] <= lo)
-        while doomed:
-            v = doomed.popleft()
-            if gone[v] < g.n:
-                continue
-            gone[v] = stripped
-            stripped += 1
-            for u in g.neighbors(v):
-                if gone[u] == g.n:
-                    core_deg[u] -= 1
-                    if core_deg[u] <= lo:
-                        doomed.append(u)
+        for i, v in enumerate(order[:stripped]):
+            gone[v] = i
         flow_give: list[int] = []
         if stripped < g.n:
             sub, old_ids = g.induced(v for v in range(g.n) if gone[v] == g.n)

@@ -13,7 +13,7 @@ from densub import oracle
 from densub.decompose import ldd_traced
 from densub.detect_congest import approx_densest, congest_detect
 from densub.detect_local import detection_radius, local_detect
-from densub.engine import SimConfig, knowledge_states, run
+from densub.engine import congest_cap, knowledge_states, run
 from densub.graphs import (
     Graph,
     Subset,
@@ -346,7 +346,8 @@ def test_criterion_12_determinism():
         outs, trace = run(
             g,
             _LoadProgram(budget, 32),
-            SimConfig(model="CONGEST", enforcement="permissive", seed=9),
+            cap=congest_cap(g.n),
+            seed=9,
             schedule=schedule,
         )
         snap = (

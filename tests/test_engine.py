@@ -8,11 +8,11 @@ from densub.engine import (
     CongestViolation,
     MaxRoundsExceeded,
     RoundTrace,
-    SimConfig,
     VertexContext,
     VertexProgram,
     collect_ball,
     component_aggregate,
+    congest_cap,
     knowledge_states,
     msg_bits,
     run,
@@ -66,19 +66,20 @@ class TestMsgBits:
         assert msg_bits((1, 2)) == 4 + 8 + 8
 
     def test_rejects_unknown(self):
-        with pytest.raises(TypeError):
-            msg_bits(1.5)
+        for m in (1.5, "x"):
+            with pytest.raises(TypeError):
+                msg_bits(m)
 
 
 class TestRun:
     def test_halt_immediately(self):
-        outs, trace = run(path(6), HaltImmediately(), SimConfig())
+        outs, trace = run(path(6), HaltImmediately())
         assert outs == list(range(6))
         assert trace.rounds_executed == 1
         assert trace.total_bits == 0
 
     def test_flood_path10(self):
-        outs, trace = run(path(10), Flood(2**30), SimConfig())
+        outs, trace = run(path(10), Flood(2**30))
         assert all(o == 2**30 for o in outs)
         assert trace.rounds_executed == 10
         assert trace.max_message_bits == 32
@@ -86,7 +87,7 @@ class TestRun:
     def test_determinism_across_schedules(self):
         g = cycle(12)
         runs = [
-            run(g, Flood(7), SimConfig(seed=3), schedule=s)
+            run(g, Flood(7), seed=3, schedule=s)
             for s in ("forward", "reverse", "shuffled")
         ]
         base_out, base_trace = runs[0]
@@ -95,16 +96,24 @@ class TestRun:
             assert trace.to_json() == base_trace.to_json()
 
     def test_congest_strict_abort(self):
-        cfg = SimConfig(model="CONGEST")
         with pytest.raises(CongestViolation):
-            run(complete(16), Flood(2**40), cfg)  # 48-bit token vs 8-bit cap
+            # 42-bit token vs 8-bit cap
+            run(complete(16), Flood(2**40), cap=congest_cap(16))
 
     def test_congest_permissive_records(self):
-        cfg = SimConfig(model="CONGEST", enforcement="permissive")
-        _, trace = run(path(4), Flood(2**40), cfg)
+        _, trace = run(path(4), Flood(2**40), cap=congest_cap(4))
         assert trace.violations
         rnd, edge, bits = trace.violations[0]
-        assert bits > cfg.cap_for(4)
+        assert bits > congest_cap(4)
+
+    def test_cap_is_strict_from_16_vertices(self):
+        word = SendOnce(2**46)  # 48 bits against an 8-bit cap
+        _, trace = run(Graph(15, [(0, 1)]), word, cap=8)
+        assert trace.violations == [(1, 0, 48)]
+        with pytest.raises(CongestViolation):
+            run(Graph(16, [(0, 1)]), word, cap=8)
+        _, trace = run(Graph(16, [(0, 1)]), word)
+        assert trace.violations == []
 
     def test_max_rounds_exhausted(self):
         class Never(VertexProgram):
@@ -115,26 +124,26 @@ class TestRun:
                 return state, (), False
 
         with pytest.raises(MaxRoundsExceeded):
-            run(path(3), Never(), SimConfig(max_rounds=10))
+            run(path(3), Never(), max_rounds=10)
 
     def test_last_vertex_halting_in_the_last_allowed_round(self):
         # vertex 9 halts in round 10 with its echo to vertex 8 still queued
-        _, trace = run(path(10), Flood(2**30), SimConfig(max_rounds=10))
+        _, trace = run(path(10), Flood(2**30), max_rounds=10)
         assert trace.rounds_executed == 10
 
     def test_one_round_short_still_raises(self):
         with pytest.raises(MaxRoundsExceeded):
-            run(path(10), Flood(2**30), SimConfig(max_rounds=9))
+            run(path(10), Flood(2**30), max_rounds=9)
 
     def test_empty_graph_runs_no_rounds(self):
-        outs, trace = run(Graph(0, []), HaltImmediately(), SimConfig())
+        outs, trace = run(Graph(0, []), HaltImmediately())
         assert outs == []
         assert trace.rounds_executed == 0
 
     def test_total_bits_sums_each_message_once(self):
         # round 1: 0 sends the token; round 2: 1 echoes it back while
         # halting. Two 8-bit messages, each charged exactly once.
-        outs, trace = run(path(2), Flood(1), SimConfig())
+        outs, trace = run(path(2), Flood(1))
         assert trace.total_bits == 16
         assert trace.max_message_bits == 8
 
@@ -176,15 +185,16 @@ class TestRunBitAccounting:
     @given(MESSAGES)
     @settings(max_examples=200, deadline=None)
     def test_one_message_costs_msg_bits(self, m):
-        _, trace = run(path(2), SendOnce(m), SimConfig())
+        _, trace = run(path(2), SendOnce(m))
         assert trace.total_bits == trace.max_message_bits == msg_bits(m)
 
     @given(MESSAGES)
     @settings(max_examples=200, deadline=None)
     def test_strict_violation_reports_msg_bits(self, m):
-        cfg = SimConfig(model="CONGEST", cap_bits=msg_bits(m) - 1)
+        # strict: the run has 16 vertices
+        g = Graph(16, [(0, 1)])
         with pytest.raises(CongestViolation) as exc:
-            run(path(2), SendOnce(m), cfg)
+            run(g, SendOnce(m), cap=msg_bits(m) - 1)
         assert exc.value.bits == msg_bits(m)
 
 
@@ -232,12 +242,12 @@ class Talk(VertexProgram):
         return (stop, heard), out, rnd >= stop
 
 
-def reference_run(g, program, cfg):
-    """engine.run restated one message at a time: every live vertex steps
-    every round, each word is sized per copy, and the receiving port is
-    looked up by edge id."""
+def reference_run(g, program, cap, seed):
+    """engine.run on fewer than 16 vertices restated one message at a time:
+    every live vertex steps every round, each word is sized per copy, and
+    the receiving port is looked up by edge id."""
     n = g.n
-    ctxs = [VertexContext(v, n, g.adj[v], cfg.seed) for v in range(n)]
+    ctxs = [VertexContext(v, g.adj[v], seed) for v in range(n)]
     states = [program.init(c) for c in ctxs]
     halted = [False] * n
     inboxes = [{} for _ in range(n)]
@@ -257,7 +267,7 @@ def reference_run(g, program, cfg):
                     eid = g.adj[v][i]
                     u = sum(g.edges[eid]) - v
                     bits = msg_bits(m)
-                    if bits > cfg.cap_for(n):
+                    if bits > cap:
                         violations.append([rnd, eid, bits])
                     total += bits
                     widest = max(widest, bits)
@@ -309,14 +319,15 @@ class TestPortContract:
     def test_matches_per_message_reference(
         self, g, broadcast, life, seed, cap
     ):
-        # a permissive CONGEST run, so oversized words are recorded with
-        # their edge ids rather than raised
-        cfg = SimConfig(
-            model="CONGEST", enforcement="permissive", seed=seed, cap_bits=cap
+        # under 16 vertices a CONGEST run is permissive, so oversized words
+        # are recorded with their edge ids rather than raised
+        want_outs, want_trace = reference_run(
+            g, Talk(broadcast, life), cap, seed
         )
-        want_outs, want_trace = reference_run(g, Talk(broadcast, life), cfg)
         for schedule in ("forward", "reverse", "shuffled"):
-            outs, trace = run(g, Talk(broadcast, life), cfg, schedule=schedule)
+            outs, trace = run(
+                g, Talk(broadcast, life), cap=cap, seed=seed, schedule=schedule
+            )
             assert outs == want_outs
             assert trace.to_json() == want_trace
 
@@ -331,15 +342,14 @@ class TestPortContract:
             def step(self, ctx, state, rnd, inbox):
                 return state, self.outbox if ctx.vertex == 1 else (), True
 
-        run(path(3), Twice([(5, (0, 1))]), SimConfig())  # distinct ports
+        run(path(3), Twice([(5, (0, 1))]))  # distinct ports
         for outbox in ([(5, (0, 0))], [(5, (1,)), (6, (1,))]):
             with pytest.raises(ValueError, match="port"):
-                run(path(3), Twice(outbox), SimConfig())
+                run(path(3), Twice(outbox))
 
     def test_empty_port_list_sends_nothing(self):
         # not even a word the cap would reject
-        cfg = SimConfig(model="CONGEST", cap_bits=8)
-        _, trace = run(path(4), SendTo(2**40, ()), cfg)
+        _, trace = run(path(4), SendTo(2**40, ()), cap=8)
         assert trace.to_json() == {
             "rounds": 1,
             "max_message_bits": 0,
@@ -431,7 +441,7 @@ class TestIdleUntil:
                 return False
 
             outs, trace = run(
-                g, program, SimConfig(seed=4), schedule=schedule,
+                g, program, seed=4, schedule=schedule,
                 round_hook=hook if hooked else None,
             )
             return outs, trace.to_json(), log
@@ -463,19 +473,19 @@ class TestIdleUntil:
 
     def test_postponed_wake_round_is_kept(self):
         program = Snooze()
-        _, trace = run(path(2), program, SimConfig())
+        _, trace = run(path(2), program)
         assert program.steps == [(0, 1), (1, 2), (1, 8)]
         assert trace.rounds_executed == 8
 
     def test_sleeper_returns_in_its_wake_round(self):
-        _, trace = run(path(1), Sleeper(50), SimConfig(max_rounds=50))
+        _, trace = run(path(1), Sleeper(50), max_rounds=50)
         assert trace.rounds_executed == 50
 
     def test_sleeper_past_max_rounds_raises(self):
         with pytest.raises(MaxRoundsExceeded):
-            run(path(1), Sleeper(51), SimConfig(max_rounds=50))
+            run(path(1), Sleeper(51), max_rounds=50)
         with pytest.raises(MaxRoundsExceeded):
-            run(path(3), Sleeper(10**12), SimConfig(max_rounds=10))
+            run(path(3), Sleeper(10**12), max_rounds=10)
 
 
 def _plain_distances(g, s):

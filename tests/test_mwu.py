@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densub.engine import SimConfig, run
+from densub.engine import congest_cap, run
 from densub.graphs import (
     Graph,
     Subset,
@@ -196,7 +196,8 @@ class TestFractionalDual:
         outs, _ = run(
             g,
             _LoadProgram(_Budget.for_z(Fraction(2)), 32),
-            SimConfig.congest(g.n, 34),
+            max_rounds=34,
+            cap=congest_cap(g.n),
         )
         for eid, (u, v) in enumerate(g.edges):
             iu = g.adj[u].index(eid)
@@ -218,7 +219,10 @@ class TestFractionalDual:
         budget = _Budget.for_z(z)
         q = budget.rho_den
         outs, _ = run(
-            graph, _LoadProgram(budget, T), SimConfig.congest(graph.n, T + 2)
+            graph,
+            _LoadProgram(budget, T),
+            max_rounds=T + 2,
+            cap=congest_cap(graph.n),
         )
         for v in range(graph.n):
             deg = graph.degree(v)

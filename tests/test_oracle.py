@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densub import oracle
 from densub.graphs import (
@@ -49,6 +51,26 @@ def grid(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, right + down)
 
 
+@st.composite
+def cyclic_graphs(draw):
+    """A graph on up to 40 vertices with a triangle, so never a forest."""
+    n = draw(st.integers(3, 40))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    a, b, c = sorted(draw(st.sets(st.integers(0, n - 1), min_size=3, max_size=3)))
+    edges = set(draw(st.lists(st.sampled_from(pairs), max_size=150)))
+    return Graph(n, edges | {(a, b), (a, c), (b, c)})
+
+
+def plain_core(g: Graph, lo: Fraction) -> set[int]:
+    """What is left after repeatedly deleting every vertex of degree <= lo."""
+    alive = set(range(g.n))
+    while True:
+        low = {v for v in alive if sum(u in alive for u in g.neighbors(v)) <= lo}
+        if not low:
+            return alive
+        alive -= low
+
+
 class TestBruteDensest:
     def test_single_edge(self):
         r = brute_densest(Graph(2, [(0, 1)]))
@@ -74,6 +96,22 @@ class TestBruteDensest:
 
 
 class TestExactDensest:
+    @given(cyclic_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_first_flow_runs_on_the_core_above_the_peel_bound(self, g):
+        seen = []
+        denser_than = oracle._denser_than
+
+        def spy(sub, guess):
+            seen.append((sub, guess))
+            return denser_than(sub, guess)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_denser_than", spy)
+            exact_densest(g)
+        sub, lo = seen[0]
+        assert sub == g.induced(plain_core(g, lo))[0]
+
     def test_k5(self):
         r = exact_densest(complete(5))
         assert r.value == 2
