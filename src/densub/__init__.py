@@ -22,13 +22,11 @@ from .engine import (
     run,
 )
 from .graphs import (
-    DirectedDensity,
     DirectedGraph,
     Graph,
     Orientation,
     Subset,
     density,
-    directed_density,
     generate,
     lowerbound_pair,
     read_edge_list,
@@ -48,7 +46,6 @@ from .oracle import (
     min_max_outdegree,
 )
 from .orient import (
-    PathDecomposition,
     directed_split,
     orient_low_outdegree_detailed,
     path_decompose,

@@ -146,24 +146,19 @@ def approx_densest(
         raise ValueError("eps must lie in (0, 1/4)")
     phases = phase_count(g.n, eps) + 1
     psi = [-1] * g.n
-    phase_marks: list[Subset] = []
     trace = RoundTrace()
     guess = Fraction(1)
     for i in range(phases):
         sub, tr = congest_detect(g, guess, eps, _mix(seed, 1000 + i))
         trace.then(tr)
-        phase_marks.append(sub)
         for v in sub.members:
             psi[v] = i
         guess *= 1 + eps
     # called through the module, so a wrapper installed there sees the call
     neg_best, agg_trace = engine.component_aggregate(g, [-p for p in psi])
     trace.then(agg_trace)
-    final = set()
-    for v in range(g.n):
-        j = -neg_best[v]
-        if j >= 0 and psi[v] == j and v in phase_marks[j].members:
-            final.add(v)
-    out = Subset(g.n, sorted(final))
+    # psi[v] is the last phase that marked v, so v is in that phase's marks
+    final = [v for v in range(g.n) if psi[v] >= 0 and psi[v] == -neg_best[v]]
+    out = Subset(g.n, final)
     dhat = density(g, out) if final else Fraction(0)
     return out, dhat, trace

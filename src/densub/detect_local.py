@@ -59,12 +59,6 @@ class DirectedDetectionOutput:
     black: tuple[int, ...]
     radius: int
 
-    def pair_of(self, black_vertex: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        tag = black_vertex + 1
-        s = tuple(i for i, x in enumerate(self.s_tag) if x == tag)
-        t = tuple(i for i, x in enumerate(self.t_tag) if x == tag)
-        return s, t
-
 
 def detection_radius(n: int, eps: Fraction) -> int:
     """Twice the eps/2 clustering budget: r = 2 * ceil((6/eps) * ln n)."""

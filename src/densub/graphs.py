@@ -8,7 +8,6 @@ share across threads.
 from __future__ import annotations
 
 import functools
-import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -20,10 +19,8 @@ __all__ = [
     "DirectedGraph",
     "Subset",
     "Orientation",
-    "DirectedDensity",
     "EdgeListError",
     "density",
-    "directed_density",
     "parse_ratio",
     "format_ratio",
     "frac_ceil",
@@ -225,7 +222,7 @@ class Graph:
 
     def distances_from(self, src: int) -> list[int]:
         """BFS distances from src; -1 for unreachable vertices."""
-        return self.bfs(src)[1]
+        return self.bfs(src, count=False)[1]
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by min vertex."""
@@ -312,11 +309,6 @@ class DirectedGraph:
         """Undirected graph ignoring arc directions (opposite arcs merge)."""
         und = {(u, v) if u < v else (v, u) for u, v in self.arcs}
         return Graph(self.n, sorted(und))
-
-    def arcs_between(self, s: Iterable[int], t: Iterable[int]) -> int:
-        ss = s if isinstance(s, (set, frozenset)) else set(s)
-        tt = t if isinstance(t, (set, frozenset)) else set(t)
-        return sum(1 for u, v in self.arcs if u in ss and v in tt)
 
     def __eq__(self, other) -> bool:
         return (
@@ -410,53 +402,6 @@ def density(g: Graph, s: Subset) -> Fraction:
     if len(s) == 0:
         raise ValueError("density is undefined for the empty subset")
     return Fraction(g.induced_edge_count(s.members), len(s))
-
-
-@dataclass(frozen=True)
-class DirectedDensity:
-    """Exact directed density |E(S,T)| / sqrt(|S| |T|).
-
-    The value itself is irrational in general, so comparisons go through the
-    exact square |E(S,T)|^2 / (|S| |T|); the raw triple is kept alongside.
-    """
-
-    arc_count: int
-    s_size: int
-    t_size: int
-
-    @property
-    def squared(self) -> Fraction:
-        return Fraction(self.arc_count * self.arc_count, self.s_size * self.t_size)
-
-    def meets(self, threshold: Fraction | int) -> bool:
-        """True iff the density is >= threshold (threshold must be >= 0)."""
-        threshold = Fraction(threshold)
-        if threshold < 0:
-            raise ValueError("threshold must be non-negative")
-        return self.squared >= threshold * threshold
-
-    def exact_value(self) -> Fraction | None:
-        """The density as a Fraction when it is rational, else None."""
-        sq = self.squared
-        rn = _isqrt_exact(sq.numerator)
-        rd = _isqrt_exact(sq.denominator)
-        if rn is None or rd is None:
-            return None
-        return Fraction(rn, rd)
-
-
-def _isqrt_exact(x: int) -> int | None:
-    r = math.isqrt(x)
-    return r if r * r == x else None
-
-
-def directed_density(g: DirectedGraph, s: Subset, t: Subset) -> DirectedDensity:
-    """Exact directed density of the pair (s, t); the sets may overlap."""
-    if s.n != g.n or t.n != g.n:
-        raise ValueError("subset does not belong to this graph")
-    if len(s) == 0 or len(t) == 0:
-        raise ValueError("directed density is undefined for empty sides")
-    return DirectedDensity(g.arcs_between(s.members, t.members), len(s), len(t))
 
 
 # ---------------------------------------------------------------------------

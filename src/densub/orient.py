@@ -45,7 +45,6 @@ from .mwu import alpha_bit_width, alpha_fraction_bits, fractional_dual
 
 __all__ = [
     "Orientation",
-    "PathDecomposition",
     "WeakOrientationResult",
     "weak_orientation",
     "path_decompose",
@@ -54,33 +53,6 @@ __all__ = [
     "orient_low_outdegree_detailed",
     "OrientReport",
 ]
-
-
-@dataclass(frozen=True)
-class PathDecomposition:
-    """Edge partition into vertex sequences; closed ones have
-    first == last and no endpoint slots."""
-
-    n: int
-    paths: tuple[tuple[int, ...], ...]
-
-    def endpoint_counts(self) -> list[int]:
-        cnt = [0] * self.n
-        for p in self.paths:
-            if p[0] != p[-1]:
-                cnt[p[0]] += 1
-                cnt[p[-1]] += 1
-        return cnt
-
-    def max_length(self) -> int:
-        return max((len(p) - 1 for p in self.paths), default=0)
-
-    def edge_multiset(self) -> list[tuple[int, int]]:
-        out = []
-        for p in self.paths:
-            for a, b in zip(p, p[1:]):
-                out.append((a, b) if a < b else (b, a))
-        return out
 
 
 @dataclass
@@ -294,8 +266,12 @@ def _decompose_edges(
     return list(zip(ends[::2], tip[::2])) + cycles, link, trace
 
 
-def path_decompose(g: Graph, levels: int) -> tuple[PathDecomposition, RoundTrace]:
-    """(2/3)^levels damping of path-end counts, lengths up to 2^levels."""
+def path_decompose(
+    g: Graph, levels: int
+) -> tuple[tuple[tuple[int, ...], ...], RoundTrace]:
+    """Edge partition into vertex sequences, (2/3)^levels damping of
+    path-end counts, lengths up to 2^levels. A closed sequence has
+    first == last and no path ends."""
     if levels < 0:
         raise ValueError("levels must be >= 0")
     starts, link, trace = _decompose_edges(g.n, list(g.edges), levels)
@@ -308,7 +284,7 @@ def path_decompose(g: Graph, levels: int) -> tuple[PathDecomposition, RoundTrace
             seq.append(v)
             prev, e = e, link[e] ^ prev
         paths.append(tuple(seq))
-    return PathDecomposition(g.n, tuple(paths)), trace
+    return tuple(paths), trace
 
 
 def split_levels(eps: Fraction) -> int:
@@ -469,12 +445,8 @@ def orient_low_outdegree_detailed(
         av = min(nv[eid] // scale, 1)
         if au + av < 1:
             raise AssertionError("an edge lost its cover")
-        if au == 1 and av == 0:
-            dir_bits.append(1)  # tail u, head v
-        elif av == 1 and au == 0:
-            dir_bits.append(0)
-        else:
-            dir_bits.append(1)  # both at 1: orient toward the larger id
+        # tail u when u keeps its unit; both at 1 points at the larger id v
+        dir_bits.append(au)
     trace.rounds_executed += 1
     trace.charge(8, g.m)
     orientation = Orientation(g.n, g.edges, tuple(dir_bits))

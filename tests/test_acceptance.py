@@ -45,6 +45,7 @@ from densub.orient import (
     split_levels,
     weak_orientation,
 )
+from test_orient import edge_multiset, endpoint_counts, max_length
 
 
 def announce(num, text):
@@ -248,10 +249,10 @@ def test_criterion_08_directed_splitting():
             for v in range(g.n):
                 assert abs(outs[v] - ins[v]) <= eps * g.degree(v) + 12
             levels = split_levels(eps)
-            pd, _ = path_decompose(g, levels)
-            assert sorted(pd.edge_multiset()) == sorted(g.edges)
-            assert pd.max_length() <= 2**levels
-            counts = pd.endpoint_counts()
+            paths, _ = path_decompose(g, levels)
+            assert sorted(edge_multiset(paths)) == sorted(g.edges)
+            assert max_length(paths) <= 2**levels
+            counts = endpoint_counts(g.n, paths)
             for v in range(g.n):
                 assert (
                     counts[v]

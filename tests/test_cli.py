@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import densub
 from densub import oracle
 from densub.cli import main
 from densub.graphs import Graph, complete, cycle, erdos_renyi, write_edge_list
@@ -401,3 +402,21 @@ def test_report_is_pinned(capsys, tmp_path, case, argv, digest):
     del payload["wall_time_s"], payload["command"]
     text = json.dumps(payload, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+def test_public_api_is_pinned():
+    # a new export needs a caller outside tests/; growing this list is a
+    # deliberate change, not a side effect
+    assert sorted(densub.__all__) == [
+        "Clustering", "DetectionOutput", "DirectedDetectionOutput",
+        "DirectedGraph", "DualSolution", "Graph", "OracleResult",
+        "Orientation", "RoundTrace", "Subset", "VertexProgram",
+        "alpha_bit_width", "approx_densest", "brute_densest",
+        "brute_directed_densest", "collect_ball", "component_aggregate",
+        "congest_detect", "density", "directed_split", "exact_densest",
+        "fractional_dual", "generate", "integral_primal", "knowledge_states",
+        "ldd_traced", "local_detect", "local_detect_directed",
+        "lowerbound_pair", "min_max_outdegree", "msg_bits",
+        "orient_low_outdegree_detailed", "path_decompose", "read_edge_list",
+        "run", "weak_orientation", "write_edge_list",
+    ]

@@ -21,6 +21,14 @@ from densub.graphs import (
 from densub.oracle import exact_densest
 
 
+def pair_of(out, black_vertex):
+    """The (S, T) vertex tuples that black_vertex tagged."""
+    tag = black_vertex + 1
+    s = tuple(i for i, x in enumerate(out.s_tag) if x == tag)
+    t = tuple(i for i, x in enumerate(out.t_tag) if x == tag)
+    return s, t
+
+
 def spaced_clique_pair():
     """Two K5s whose active regions (radius r around each) sit more than
     2r apart, forcing one black vertex per clique."""
@@ -118,19 +126,17 @@ class TestLocalDetectDirected:
         tags = {t for t in out.s_tag if t} | {t for t in out.t_tag if t}
         assert len(tags) == 2
         thr = (1 - Fraction(1, 10)) * 3
-        from densub.graphs import Subset, directed_density
-
         for b in out.black:
-            s, t = out.pair_of(b)
+            s, t = pair_of(out, b)
             assert s and t
-            d = directed_density(dg, Subset(dg.n, s), Subset(dg.n, t))
-            assert d.meets(thr)
+            arcs = sum(1 for u, v in dg.arcs if u in s and v in t)
+            assert Fraction(arcs * arcs, len(s) * len(t)) >= thr * thr
 
     def test_single_arc(self):
         dg = DirectedGraph(2, [(0, 1)])
         out, _ = local_detect_directed(dg, Fraction(1), Fraction(1, 2))
         assert out.black == (0,) or out.black == (1,)
-        s, t = out.pair_of(out.black[0])
+        s, t = pair_of(out, out.black[0])
         assert s == (0,) and t == (1,)
 
     def test_empty_arcs_all_zero(self):

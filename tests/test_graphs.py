@@ -17,7 +17,6 @@ from densub.graphs import (
     complete,
     cycle,
     density,
-    directed_density,
     erdos_renyi,
     format_ratio,
     generate,
@@ -142,49 +141,6 @@ class TestDensity:
         thr = Fraction(9, 5)
         assert density(g, a) >= thr and density(g, b) >= thr
         assert density(g, Subset(g.n, set(a.members) | set(b.members))) >= thr
-
-
-class TestDirectedDensity:
-    def _opposed_stars_gadget(self, x):
-        # S1={0} -> T1={1..x}; S2={x+1..2x} -> T2={2x+1}
-        n = 2 * x + 2
-        arcs = [(0, i) for i in range(1, x + 1)]
-        arcs += [(x + i, 2 * x + 1) for i in range(1, x + 1)]
-        return DirectedGraph(n, arcs)
-
-    def test_star_pair_squared(self):
-        g = self._opposed_stars_gadget(9)
-        s1 = Subset(g.n, [0])
-        t1 = Subset(g.n, range(1, 10))
-        d = directed_density(g, s1, t1)
-        assert d.squared == 9
-        assert d.exact_value() == 3
-
-    def test_union_drops_density(self):
-        x = 9
-        g = self._opposed_stars_gadget(x)
-        s = Subset(g.n, [0] + list(range(x + 1, 2 * x + 1)))
-        t = Subset(g.n, list(range(1, x + 1)) + [2 * x + 1])
-        d = directed_density(g, s, t)
-        # 2x / (x+1) with x = 9
-        assert d.exact_value() == Fraction(18, 10)
-
-    def test_single_arc(self):
-        g = DirectedGraph(2, [(0, 1)])
-        d = directed_density(g, Subset(2, [0]), Subset(2, [1]))
-        assert d.exact_value() == 1
-
-    def test_empty_side_error(self):
-        g = DirectedGraph(2, [(0, 1)])
-        with pytest.raises(ValueError):
-            directed_density(g, Subset(2, []), Subset(2, [1]))
-
-    def test_meets_threshold_via_square(self):
-        g = self._opposed_stars_gadget(9)
-        d = directed_density(g, Subset(g.n, [0]), Subset(g.n, range(1, 10)))
-        assert d.meets(3)
-        assert d.meets(Fraction(27, 10))
-        assert not d.meets(Fraction(31, 10))
 
 
 class TestOrientation:

@@ -255,6 +255,19 @@ class TestMinMaxOutdegree:
     def test_edgeless(self):
         assert min_max_outdegree(Graph(4, []))[0] == 0
 
+    def test_missing_witness_fails_the_invariant(self, monkeypatch):
+        monkeypatch.setattr(oracle, "witness_orientation", lambda g, a: None)
+        with pytest.raises(
+            AssertionError, match=r"an orientation at ceil\(D\) must exist"
+        ):
+            min_max_outdegree(complete(5))
+
+    def test_overstated_flow_fails_the_witness_check(self, monkeypatch):
+        # no arc flipped: vertex 0 keeps all 4 of its edges
+        monkeypatch.setattr(oracle._Dinic, "max_flow", lambda self, s, t: 10**9)
+        with pytest.raises(AssertionError, match="an outdegree exceeds alpha"):
+            witness_orientation(complete(5), 2)
+
     def test_witness_achieves_value(self):
         rng = random.Random(11)
         for trial in range(20):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import densub.orient as orient_module
+from densub.engine import RoundTrace
 from densub.graphs import Graph, complete, cycle, erdos_renyi, path
 from densub.orient import (
     Orientation,
@@ -18,6 +19,24 @@ from densub.orient import (
     split_levels,
     weak_orientation,
 )
+
+
+def endpoint_counts(n, paths):
+    """Path ends at each vertex; a closed path (first == last) has none."""
+    cnt = [0] * n
+    for p in paths:
+        if p[0] != p[-1]:
+            cnt[p[0]] += 1
+            cnt[p[-1]] += 1
+    return cnt
+
+
+def max_length(paths):
+    return max((len(p) - 1 for p in paths), default=0)
+
+
+def edge_multiset(paths):
+    return [(min(a, b), max(a, b)) for p in paths for a, b in zip(p, p[1:])]
 
 
 def star(leaves):
@@ -168,24 +187,24 @@ class TestSplitterProperties:
 class TestPathDecompose:
     def test_level_zero_single_edges(self):
         g = complete(4)
-        pd, _ = path_decompose(g, 0)
-        assert all(len(p) == 2 for p in pd.paths)
-        assert pd.endpoint_counts() == [3, 3, 3, 3]
+        paths, _ = path_decompose(g, 0)
+        assert all(len(p) == 2 for p in paths)
+        assert endpoint_counts(g.n, paths) == [3, 3, 3, 3]
 
     def test_k7_level_one(self):
         g = complete(7)
-        pd, _ = path_decompose(g, 1)
-        assert pd.max_length() <= 2
-        assert sorted(pd.edge_multiset()) == sorted(g.edges)
+        paths, _ = path_decompose(g, 1)
+        assert max_length(paths) <= 2
+        assert sorted(edge_multiset(paths)) == sorted(g.edges)
         for v in range(7):
-            assert pd.endpoint_counts()[v] <= Fraction(2, 3) * 6 + 12
+            assert endpoint_counts(g.n, paths)[v] <= Fraction(2, 3) * 6 + 12
 
     def test_level_four_partition_and_bounds(self):
         g = erdos_renyi(128, 0.25, seed=3)
-        pd, _ = path_decompose(g, 4)
-        assert sorted(pd.edge_multiset()) == sorted(g.edges)
-        assert pd.max_length() <= 16
-        counts = pd.endpoint_counts()
+        paths, _ = path_decompose(g, 4)
+        assert sorted(edge_multiset(paths)) == sorted(g.edges)
+        assert max_length(paths) <= 16
+        counts = endpoint_counts(g.n, paths)
         for v in range(g.n):
             assert counts[v] <= Fraction(16, 81) * g.degree(v) + 12
 
@@ -277,6 +296,20 @@ class TestOrientPipeline:
         with pytest.raises(ValueError, match="power-of-two T, got 100"):
             orient_low_outdegree_detailed(
                 complete(20), 128, Fraction(1, 4), T_override=100
+            )
+
+    def test_split_fault_breaks_the_recurrence(self, monkeypatch):
+        # every split edge keeps its tail side: vertex 0 gains each bit
+        def all_tails(n, edges, eps):
+            bits = (1,) * len(edges)
+            return Orientation(n, tuple(edges), bits), RoundTrace()
+
+        monkeypatch.setattr(orient_module, "_split_edge_list", all_tails)
+        with pytest.raises(
+            AssertionError, match="per-vertex sum exceeded its recurrence"
+        ):
+            orient_low_outdegree_detailed(
+                complete(257), 128, Fraction(1, 4), T_override=4
             )
 
     def test_tree_with_large_dtilde(self):
