@@ -114,12 +114,11 @@ class MaxRoundsExceeded(RuntimeError):
 def msg_bits(m) -> int:
     """Serialized size of a message in bits.
 
-    Integers cost their minimal two's-complement width, at least 8 bits.
-    Tuples cost the sum of their parts plus a 4-bit tag. Bytes cost 8 bits
-    per byte. The convention is fixed so traces are reproducible.
+    Integers, bools included, cost their minimal two's-complement width,
+    at least 8 bits. Tuples cost the sum of their parts plus a 4-bit tag.
+    Bytes cost 8 bits per byte. The convention is fixed so traces are
+    reproducible.
     """
-    if isinstance(m, bool):
-        return 8
     if isinstance(m, int):
         width = (m.bit_length() + 1) if m >= 0 else ((-m - 1).bit_length() + 1)
         return max(8, width)

@@ -60,14 +60,12 @@ def frac_ceil(q: Fraction | int) -> int:
 
 
 def ceil_log2(q: Fraction | int) -> int:
-    """Smallest k with 2**k >= q, for q > 0. Exact integer arithmetic."""
+    """Smallest k >= 0 with 2**k >= q, for q > 0. Exact integer arithmetic."""
     q = Fraction(q)
     if q <= 0:
         raise ValueError("ceil_log2 requires a positive argument")
-    k = max(q.numerator.bit_length() - q.denominator.bit_length() - 1, 0)
-    while Fraction(2) ** k < q:
-        k += 1
-    return k
+    # 2**k is an integer, so 2**k >= q exactly when 2**k > ceil(q) - 1
+    return (frac_ceil(q) - 1).bit_length()
 
 
 @functools.lru_cache(maxsize=64)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import gt
+from operator import add, gt
 
 from .engine import RoundTrace, msg_bits
 from .graphs import Graph, Orientation, ceil_log2, is_neg_pow2
@@ -141,10 +141,9 @@ def _weak_orient_edges(n: int, ends: list[int]) -> WeakOrientationResult:
                 for x in flat[3 * c : 3 * c + 3]:
                     if not head[x]:
                         continue  # c is the tail, or x = -1 is padding
+                    # w holds the tail slot x ^ 1, so it is no sink
                     w = ec[x ^ 1]
                     d = indeg[w]
-                    if d == 3:
-                        continue
                     if d == 2:
                         if via[w] < 0:
                             via[w] = x
@@ -388,47 +387,35 @@ def orient_low_outdegree_detailed(
     delta = g.max_degree()
     t = min(alpha_fraction_bits(sol), ceil_log2(Fraction(delta) / eps2))
     scale = 1 << t
-    # ceil(alpha * 2^t) on each side; side 0 is u, the smaller endpoint
-    nu = [-(-x * scale // sol.den) for x in sol.shares[::2]]
-    nv = [-(-x * scale // sol.den) for x in sol.shares[1::2]]
+    # ceil(alpha * 2^t) in the dual's slots: a[2e + s] is side s of edge e,
+    # side 0 the smaller endpoint
+    a = [-(-x * scale // sol.den) for x in sol.shares]
     records: list[IterationRecord] = []
     bound = (1 + eps1) * (1 + eps2) * dtilde
     if t > 0:
         eps3 = eps / (4 * t)
         for k in range(1, t + 1):
             bit = 1 << (k - 1)
-            in_split = []
-            for eid in range(g.m):
-                bu = nu[eid] & bit
-                bv = nv[eid] & bit
-                if bu and bv:
-                    in_split.append(eid)
-                else:
-                    if bu:
-                        nu[eid] -= bit
-                    if bv:
-                        nv[eid] -= bit
+            # an edge with the bit on both sides is split; every other
+            # side rounds down, and so does a split edge's head, while its
+            # tail rounds up: clear the bit everywhere, carry 2*bit to tails
+            in_split = [x for x in range(0, len(a), 2) if a[x] & a[x + 1] & bit]
+            a = [y & ~bit for y in a]
             # one bit-exchange round precedes the split every iteration
             trace.rounds_executed += 1
             trace.charge(8, 2 * g.m)
             if in_split:
-                sub_edges = [g.edges[eid] for eid in in_split]
+                sub_edges = [g.edges[x >> 1] for x in in_split]
                 split, split_trace = _split_edge_list(g.n, sub_edges, eps3)
                 trace.then(split_trace)
-                for pos, eid in enumerate(in_split):
-                    if split.dir_bits[pos]:
-                        # tail = stored first endpoint = min id = u side
-                        nu[eid] += bit
-                        nv[eid] -= bit
-                    else:
-                        nv[eid] += bit
-                        nu[eid] -= bit
+                # dir_bits 1 puts the tail at side 0
+                for x, d in zip(in_split, split.dir_bits):
+                    a[x + 1 - d] += bit << 1
             bound = (1 + eps3) * bound + Fraction(12, 1 << (t - k + 1))
-            min_cover = Fraction(min(a + b for a, b in zip(nu, nv)), scale)
+            min_cover = Fraction(min(map(add, a[::2], a[1::2])), scale)
             sums = [0] * g.n
-            for eid, (u, v) in enumerate(g.edges):
-                sums[u] += nu[eid]
-                sums[v] += nv[eid]
+            for v, y in zip(chain.from_iterable(g.edges), a):
+                sums[v] += y
             max_sum = Fraction(max(sums), scale)
             records.append(
                 IterationRecord(k, len(in_split), min_cover, max_sum, bound)
@@ -437,17 +424,13 @@ def orient_low_outdegree_detailed(
                 raise AssertionError("edge cover broke during rounding")
             if max_sum > bound:
                 raise AssertionError("per-vertex sum exceeded its recurrence")
-    dir_bits = []
-    for eid in range(g.m):
-        if nu[eid] % scale or nv[eid] % scale:
-            raise AssertionError("fractional bits remain after the last pass")
-        au = min(nu[eid] // scale, 1)
-        av = min(nv[eid] // scale, 1)
-        if au + av < 1:
-            raise AssertionError("an edge lost its cover")
-        # tail u when u keeps its unit; both at 1 points at the larger id v
-        dir_bits.append(au)
+    if any(y % scale for y in a):
+        raise AssertionError("fractional bits remain after the last pass")
+    a = [min(y // scale, 1) for y in a]
+    if 0 in map(add, a[::2], a[1::2]):
+        raise AssertionError("an edge lost its cover")
     trace.rounds_executed += 1
     trace.charge(8, g.m)
-    orientation = Orientation(g.n, g.edges, tuple(dir_bits))
+    # the tail is side 0 when it keeps its unit; both at 1 points at side 1
+    orientation = Orientation(g.n, g.edges, tuple(a[::2]))
     return OrientReport(orientation, trace, records)

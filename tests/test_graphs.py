@@ -251,6 +251,16 @@ class TestRationalHelpers:
         assert ceil_log2(2) == 1
         assert ceil_log2(Fraction(9, 2)) == 3
         assert ceil_log2(Fraction(1, 3)) == 0
+        # the definition: smallest k >= 0 with 2**k >= q
+        rng = random.Random(62)
+        qs = [Fraction(p, r) for p in range(1, 300) for r in range(1, 60)]
+        qs += [
+            Fraction(rng.randrange(1, 2**80), rng.randrange(1, 2**40))
+            for _ in range(2000)
+        ]
+        for q in qs:
+            k = ceil_log2(q)
+            assert 2**k >= q and (k == 0 or q > 2 ** (k - 1))
 
     def test_ceil_ln_edges(self):
         assert ceil_ln(5, 1) == 0  # ln 1 = 0

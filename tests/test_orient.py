@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import densub.orient as orient_module
 from densub.engine import RoundTrace
 from densub.graphs import Graph, complete, cycle, erdos_renyi, path
+from densub.mwu import alpha_bit_width, fractional_dual
 from densub.orient import (
     Orientation,
     _split_edge_list,
@@ -311,6 +312,55 @@ class TestOrientPipeline:
             orient_low_outdegree_detailed(
                 complete(257), 128, Fraction(1, 4), T_override=4
             )
+
+    @staticmethod
+    def _patch_dual(monkeypatch, edit):
+        """Run `edit` on the dual's shares before the rounding sees them."""
+        real = orient_module.fractional_dual
+
+        def patched(*args, **kwargs):
+            sol, trace = real(*args, **kwargs)
+            edit(sol)
+            return sol, trace
+
+        monkeypatch.setattr(orient_module, "fractional_dual", patched)
+
+    def test_uncovered_edge_breaks_the_cover(self, monkeypatch):
+        def zero_edge_0(sol):
+            sol.shares[0] = sol.shares[1] = 0
+
+        self._patch_dual(monkeypatch, zero_edge_0)
+        with pytest.raises(AssertionError, match="edge cover broke during rounding"):
+            orient_low_outdegree_detailed(
+                complete(5), 128, Fraction(1, 4), T_override=4
+            )
+
+    def test_uncovered_edge_without_bits_loses_its_cover(self, monkeypatch):
+        # integral shares give t = 0: no bit pass runs, only the last one
+        def integral_but_edge_0(sol):
+            sol.shares[:] = [sol.den] * len(sol.shares)
+            sol.shares[0] = sol.shares[1] = 0
+
+        self._patch_dual(monkeypatch, integral_but_edge_0)
+        with pytest.raises(AssertionError, match="an edge lost its cover"):
+            orient_low_outdegree_detailed(
+                complete(5), 128, Fraction(1, 4), T_override=4
+            )
+
+    def test_overwide_dual_fails_the_width_guarantee(self):
+        # T = 4 and eps = 1/128 give 2 + 7 + 4 = 13 bits
+        sol, _ = fractional_dual(complete(5), 128, Fraction(1, 128), T_override=4)
+        sol.bit_width = 100
+        with pytest.raises(
+            AssertionError, match="alpha width 100 exceeds the 13-bit guarantee"
+        ):
+            alpha_bit_width(sol)
+
+    def test_edgeless_graph(self):
+        rep = orient_low_outdegree_detailed(Graph(3, []), 128, Fraction(1, 4))
+        assert rep.orientation == Orientation(3, (), ())
+        assert rep.trace == RoundTrace()
+        assert rep.iterations == []
 
     def test_tree_with_large_dtilde(self):
         # contract only promises (1+eps)*dtilde even though trees are
