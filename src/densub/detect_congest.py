@@ -120,8 +120,6 @@ def congest_detect(
 
 def phase_count(n: int, eps: Fraction) -> int:
     """Smallest k with (1+eps)^k >= n."""
-    if n <= 1:
-        return 0
     k = 0
     val = Fraction(1)
     while val < n:

@@ -72,26 +72,14 @@ def load_range_bound(m: int, eps: Fraction) -> int:
     return frac_ceil(Fraction(1) / eps * bits * Fraction(7, 10))
 
 
-@dataclass
-class _Budget:
-    """Per-iteration grant shape derived from z."""
-
-    cz: int  # ceil(z/2)
-    rho_num: int
-    rho_den: int
-
-    @classmethod
-    def for_z(cls, z: Fraction) -> "_Budget":
-        cz = frac_ceil(z / 2)
-        rho = z - 2 * (cz - 1)
-        return cls(cz, rho.numerator, rho.denominator)
-
-
 class _LoadProgram(VertexProgram):
-    """Shared load dynamics; grants travel as one small code per port."""
+    """Shared load dynamics; grants travel as one small code per port.
+    Grant shape: 2 to the lightest cz - 1 ports, rho = p/q to the next."""
 
-    def __init__(self, budget: _Budget, iterations: int):
-        self.b = budget
+    def __init__(self, z: Fraction, iterations: int):
+        self.cz = frac_ceil(z / 2)
+        rho = z - 2 * (self.cz - 1)
+        self.p, self.q = rho.numerator, rho.denominator
         self.T = iterations
 
     def init(self, ctx):
@@ -105,10 +93,9 @@ class _LoadProgram(VertexProgram):
         }
 
     def step(self, ctx, state, rnd, inbox):
-        b = self.b
         key = state["key"]
         deg = len(key)
-        two, rho = 2 * b.rho_den, b.rho_num  # grant sizes in units of 1/q
+        two, rho = 2 * self.q, self.p  # grant sizes in units of 1/q
         up2, up1 = two * deg, rho * deg
         pend = state["pend"]
         if pend is not None:
@@ -124,7 +111,7 @@ class _LoadProgram(VertexProgram):
             state["pend"] = None
             return state, (), True
         # codes for this iteration: 2 for the lightest cz-1, 1 for the next
-        cz = b.cz
+        cz = self.cz
         keys = sorted(key)
         tot = state["tot"]
         twos = [k % deg for k in keys[: cz - 1]]
@@ -223,9 +210,9 @@ def fractional_dual(
     reported in the solution's `feasible` flag).
     """
     z, eps, T = _check_pre(g.n, z, eps, T_override)
-    budget = _Budget.for_z(z)
-    outs, trace = run(g, _LoadProgram(budget, T), T + 2, congest_cap(g.n))
-    return _assemble_dual(g, outs, z, eps, T, budget.rho_den), trace
+    loads = _LoadProgram(z, T)
+    outs, trace = run(g, loads, T + 2, congest_cap(g.n))
+    return _assemble_dual(g, outs, z, eps, T, loads.q), trace
 
 
 class _PrimalDetector:
@@ -242,48 +229,40 @@ class _PrimalDetector:
     """
 
     def __init__(
-        self, g: Graph, z: Fraction, eps: Fraction, budget: _Budget, cap: int
+        self, g: Graph, z: Fraction, eps: Fraction, loads: _LoadProgram,
+        cap: int,
     ):
         self.cap = cap
-        self.cz = budget.cz
+        self.cz = loads.cz
         thr = (1 - 3 * eps) * z
         self.thr_num = thr.numerator
         self.thr_den = thr.denominator
         comps = g.components()
-        comp_of = [0] * g.n
         local = [0] * g.n
-        for ci, comp in enumerate(comps):
+        for comp in comps:
             for x, v in enumerate(comp):
-                comp_of[v] = ci
                 local[v] = x
-        # per component, in edge-id order: where each edge's load is read
-        # (its smaller endpoint u, at its position i there; adjacency is
-        # sorted by edge id, so i counts u's earlier edges), u's key
-        # divisor deg(u)*q and ceiling offset (q-1)*deg(u), and its local
-        # endpoints
-        q = budget.rho_den
-        at: list[list[tuple[int, int, int, int]]] = [[] for _ in comps]
-        ends: list[list[tuple[int, int]]] = [[] for _ in comps]
-        seen = [0] * g.n
-        for u, v in g.edges:
-            ci = comp_of[u]
-            du = g.degree(u)
-            at[ci].append((u, seen[u], du * q, (q - 1) * du))
-            ends[ci].append((local[u], local[v]))
-            seen[u] += 1
-            seen[v] += 1
+        q = loads.q
         self.parts = []
-        load_range: dict[int, int] = {}  # by edge count
         for ci, comp in enumerate(comps):
-            mc = len(at[ci])
-            if not mc:
+            # per edge, read at its smaller endpoint u and port i there: u's
+            # key divisor deg(u)*q and ceiling offset (q-1)*deg(u), and the
+            # edge's local endpoints; the order is free, since the scan
+            # tests a level only once all of its edges are counted
+            at: list[tuple[int, int, int, int]] = []
+            ends: list[tuple[int, int]] = []
+            for x, u in enumerate(comp):
+                du = g.degree(u)
+                for i, v in enumerate(g.neighbors(u)):
+                    if u < v:
+                        at.append((u, i, du * q, (q - 1) * du))
+                        ends.append((x, local[v]))
+            if not at:
                 continue
-            if mc not in load_range:
-                load_range[mc] = load_range_bound(mc, eps)
             nbrs = [[local[u] for u in g.neighbors(v)] for v in comp]
             self.parts.append((
-                ci, comp, at[ci], ends[ci], nbrs,
-                _component_diameter(g, comp), load_range[mc],
+                ci, comp, at, ends, nbrs, _component_diameter(g, comp),
+                load_range_bound(len(at), eps),
             ))
         self.prev_lmin = [0] * len(comps)
         self.trace = RoundTrace()
@@ -379,9 +358,9 @@ def integral_primal(
     output within the iteration budget is a legal outcome.
     """
     z, eps, T = _check_pre(g.n, z, eps, T_override)
-    budget = _Budget.for_z(z)
+    loads = _LoadProgram(z, T)
     cap = congest_cap(g.n) if cap_bits is None else cap_bits
-    detector = _PrimalDetector(g, z, eps, budget, cap)
+    detector = _PrimalDetector(g, z, eps, loads, cap)
     found: dict = {}
 
     def hook(rnd: int, states) -> bool:
@@ -393,14 +372,11 @@ def integral_primal(
             return True
         return False
 
-    _, trace = run(g, _LoadProgram(budget, T), T + 2, cap, round_hook=hook)
+    _, trace = run(g, loads, T + 2, cap, round_hook=hook)
     trace.then(detector.trace)
     if not found:
         return None, trace
-    members: set[int] = set()
-    for _l, ids in found.values():
-        members.update(ids)
-    return Subset(g.n, sorted(members)), trace
+    return Subset(g.n, (v for _l, ids in found.values() for v in ids)), trace
 
 
 def alpha_bit_width(sol: DualSolution) -> int:

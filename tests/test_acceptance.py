@@ -31,7 +31,6 @@ from densub.mwu import (
     fractional_dual,
     integral_primal,
     _LoadProgram,
-    _Budget,
 )
 from densub.oracle import (
     brute_densest,
@@ -342,11 +341,10 @@ def test_criterion_12_determinism():
     """Bit-identical reports under a fixed seed, any engine schedule."""
     g = erdos_renyi(24, 0.4, seed=12)
     # engine-level: the same program under different schedules
-    budget = _Budget.for_z(Fraction(2))
     for schedule in ("forward", "reverse", "shuffled"):
         outs, trace = run(
             g,
-            _LoadProgram(budget, 32),
+            _LoadProgram(Fraction(2), 32),
             cap=congest_cap(g.n),
             seed=9,
             schedule=schedule,

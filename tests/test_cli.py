@@ -1,13 +1,23 @@
 import hashlib
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
 import densub
-from densub import oracle
+from densub import cli, oracle, orient
 from densub.cli import main
-from densub.graphs import Graph, complete, cycle, erdos_renyi, write_edge_list
+from densub.decompose import Clustering
+from densub.engine import RoundTrace
+from densub.graphs import (
+    Graph,
+    complete,
+    cycle,
+    erdos_renyi,
+    path,
+    write_edge_list,
+)
 
 
 @pytest.fixture
@@ -229,6 +239,30 @@ class TestCli:
         assert code == 0 and payload["check"]["pass"] is True
 
     @pytest.mark.parametrize(
+        "argv,orientation_of",
+        [
+            (["split", "--eps", "1/4"],
+             lambda g: orient.directed_split(g, Fraction(1, 4))[0]),
+            (["weak-orient"], lambda g: orient.weak_orientation(g).orientation),
+        ],
+        ids=["split", "weak-orient"],
+    )
+    def test_splitters_write_the_orientation(
+        self, capsys, tmp_path, argv, orientation_of
+    ):
+        k6 = complete(6)
+        p = tmp_path / "k6.el"
+        p.write_text(write_edge_list(k6), encoding="utf-8")
+        ofile = tmp_path / "orientation.txt"
+        code, payload = run_json(
+            capsys, argv + ["--in", str(p), "--orient-out", str(ofile)]
+        )
+        assert code == 0 and payload["check"]["pass"] is True
+        text = ofile.read_text(encoding="utf-8")
+        assert text == orientation_of(k6).to_text()
+        assert len(text.splitlines()) == k6.m == 15
+
+    @pytest.mark.parametrize(
         "argv,trace",
         [
             (["split", "--eps", "1/8"], [972, 9, 22_166]),
@@ -297,6 +331,20 @@ class TestCli:
         assert code == 0
         assert payload["check"]["pass"] is True
 
+    def test_ldd_failing_its_check_exits_1(self, capsys, tmp_path, monkeypatch):
+        # cluster 0 = {0, 3} is not connected in path(4)
+        bad = Clustering((0, 1, 1, 0), (0, 1), 2, 1)
+        monkeypatch.setattr(
+            cli, "ldd_traced", lambda g, eps, seed: (bad, RoundTrace())
+        )
+        p = tmp_path / "p4.el"
+        p.write_text(write_edge_list(path(4)), encoding="utf-8")
+        code, payload = run_json(
+            capsys, ["ldd", "--in", str(p), "--eps", "1/4"]
+        )
+        assert code == 1
+        assert payload["check"]["pass"] is False
+
     def test_approx(self, capsys, k5_file):
         code, payload = run_json(
             capsys, ["approx", "--in", k5_file, "--eps", "1/8", "--seed", "1"]
@@ -343,6 +391,16 @@ class TestCli:
         assert code == 0
         assert payload["result"]["D_squared"] == "2/1"
         assert payload["graph"] == {"n": 3, "m": 2}
+
+    def test_header_error_is_an_edge_list_error(self, capsys, tmp_path):
+        p = tmp_path / "bad.el"
+        p.write_text("three 2", encoding="utf-8")
+        code, payload = run_json(capsys, ["exact", "--in", str(p)])
+        assert code == 2
+        assert payload == {
+            "error": "EdgeListError",
+            "message": "header must contain integers at line 1",
+        }
 
     def test_parse_error_reports_line(self, capsys, tmp_path):
         p = tmp_path / "bad.el"

@@ -99,6 +99,19 @@ class TestCongestDetect:
         with pytest.raises(ValueError):
             congest_detect(complete(4), Fraction(1), Fraction(1, 2), seed=0)
 
+    def test_zero_dtilde_marks_everyone_for_free(self):
+        out, trace = congest_detect(cycle(5), 0, Fraction(1, 8), seed=1)
+        assert out.ids() == tuple(range(5))
+        assert trace.to_json() == {
+            "rounds": 0, "max_message_bits": 0, "total_bits": 0,
+            "violations": [],
+        }
+
+    def test_phase_count(self):
+        assert [detect_congest.phase_count(n, Fraction(1)) for n in range(6)] == [
+            0, 0, 1, 2, 2, 3,
+        ]
+
     @pytest.mark.parametrize("dtilde", [0, 1])
     def test_rejects_non_positive_trials(self, dtilde):
         with pytest.raises(ValueError, match="trials_override must be positive"):

@@ -471,6 +471,25 @@ class TestIdleUntil:
                 decompose.ldd_traced(g, Fraction(1, 4), seed)
                 assert sorted(calls) == list(range(g.n))
 
+    def test_ldd_race_stepped_every_round_matches(self, monkeypatch):
+        # without idle_until every live vertex is stepped every round, and
+        # unclaimed vertices take the race's no-mail branch before waking
+        from densub import decompose
+        from densub.graphs import erdos_renyi
+
+        class SteppedRace(decompose._ClusterRace):
+            idle_until = None
+
+        g = erdos_renyi(40, 0.08, seed=3)
+        for eps in (Fraction(1, 2), Fraction(1, 8)):
+            for seed in range(20):
+                skipped, trace = decompose.ldd_traced(g, eps, seed)
+                with monkeypatch.context() as m:
+                    m.setattr(decompose, "_ClusterRace", SteppedRace)
+                    stepped, stepped_trace = decompose.ldd_traced(g, eps, seed)
+                assert stepped == skipped  # centers and every cluster
+                assert stepped_trace.to_json() == trace.to_json()
+
     def test_postponed_wake_round_is_kept(self):
         program = Snooze()
         _, trace = run(path(2), program)

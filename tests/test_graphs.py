@@ -222,6 +222,29 @@ class TestEdgeListIO:
             read_edge_list("3 1\n0 3\n")
         assert "line 2" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("", "missing header", 1),
+            ("\n0 1\n", "missing header", 1),
+            ("3 2 x y", "header must be 'n m' or 'n m directed'", 1),
+            ("3 2 undirected", "header must be 'n m' or 'n m directed'", 1),
+            ("three 2", "header must contain integers", 1),
+            ("3 1\n0 1 2", "expected 'u v'", 2),
+            ("3 1\n0 a", "ids must be integers", 2),
+            ("3 2\n0 1", "header promised 2 edges but found 1", 2),
+            ("3 1\n0 1\n1 2\n\n", "header promised 1 edges but found 2", 4),
+        ],
+    )
+    def test_structural_errors(self, text, message, line):
+        with pytest.raises(EdgeListError) as exc:
+            read_edge_list(text)
+        assert str(exc.value) == f"{message} at line {line}"
+        assert exc.value.line == line
+
+    def test_blank_lines_are_skipped(self):
+        assert read_edge_list("3 2\n0 1\n\n1 2\n") == path(3)
+
     def test_directed_round_trip(self):
         g = DirectedGraph(4, [(0, 1), (1, 0), (2, 3)])
         assert read_edge_list(write_edge_list(g)) == g

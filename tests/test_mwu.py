@@ -25,7 +25,6 @@ from densub.mwu import (
     fractional_dual,
     integral_primal,
     load_range_bound,
-    _Budget,
     _LoadProgram,
 )
 from densub.oracle import exact_densest
@@ -195,7 +194,7 @@ class TestFractionalDual:
         g = erdos_renyi(20, 0.3, seed=6)
         outs, _ = run(
             g,
-            _LoadProgram(_Budget.for_z(Fraction(2)), 32),
+            _LoadProgram(Fraction(2), 32),
             max_rounds=34,
             cap=congest_cap(g.n),
         )
@@ -216,11 +215,11 @@ class TestFractionalDual:
     def test_load_program_matches_fraction_reference(self, graph, z, T):
         z = Fraction(z)
         load, grants = reference_dynamics(graph, z, T)
-        budget = _Budget.for_z(z)
-        q = budget.rho_den
+        loads = _LoadProgram(z, T)
+        q = loads.q
         outs, _ = run(
             graph,
-            _LoadProgram(budget, T),
+            loads,
             max_rounds=T + 2,
             cap=congest_cap(graph.n),
         )

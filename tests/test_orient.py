@@ -299,6 +299,14 @@ class TestOrientPipeline:
                 complete(20), 128, Fraction(1, 4), T_override=100
             )
 
+    def test_infeasible_dual_is_reported(self):
+        # in T = 4 iterations a vertex grants to at most 4 * 64 = 256 of its
+        # 261 edges, so the edges both endpoints skip stay uncovered
+        with pytest.raises(RuntimeError, match="fractional solution infeasible"):
+            orient_low_outdegree_detailed(
+                complete(262), 128, Fraction(1, 4), T_override=4
+            )
+
     def test_split_fault_breaks_the_recurrence(self, monkeypatch):
         # every split edge keeps its tail side: vertex 0 gains each bit
         def all_tails(n, edges, eps):
