@@ -6,18 +6,12 @@ import types as _types
 
 from .decompose import Clustering, ldd_traced
 from .detect_congest import approx_densest, congest_detect
-from .detect_local import (
-    DetectionOutput,
-    DirectedDetectionOutput,
-    local_detect,
-    local_detect_directed,
-)
+from .detect_local import DetectionOutput, local_detect
 from .engine import (
     RoundTrace,
     VertexProgram,
     collect_ball,
     component_aggregate,
-    knowledge_states,
     msg_bits,
     run,
 )
@@ -43,12 +37,10 @@ from .oracle import (
     brute_densest,
     brute_directed_densest,
     exact_densest,
-    min_max_outdegree,
 )
 from .orient import (
     directed_split,
     orient_low_outdegree_detailed,
-    path_decompose,
     weak_orientation,
 )
 

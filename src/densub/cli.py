@@ -228,13 +228,14 @@ def cmd_weak_orient(args, g, oracle_result):
 def cmd_ldd(args, g, oracle_result):
     eps = parse_ratio(args.eps)
     clustering, trace = ldd_traced(g, eps, args.seed)
-    # every cluster is connected, with radius <= budget around its center
-    ok = True
-    for center, members in clustering.clusters().items():
-        sub, old_ids = g.induced(members)
-        dist = sub.distances_from(old_ids.index(center))
-        if min(dist) < 0 or max(dist) > clustering.budget:
-            ok = False
+    # every cluster is connected, with radius <= budget around its center:
+    # a BFS over in-cluster edges reaches all its members within budget
+    of = clustering.cluster_of
+    inner = Graph(g.n, [(u, v) for u, v in g.edges if of[u] == of[v]])
+    ok = all(
+        sorted(inner.bfs(c, clustering.budget, count=False)[0]) == members
+        for c, members in clustering.clusters().items()
+    )
     result = {
         "centers": list(clustering.centers),
         "cut_edges": clustering.cut_edges,

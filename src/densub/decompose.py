@@ -47,7 +47,8 @@ class _ClusterRace(VertexProgram):
     """Claim wave: each vertex announces its center once, when claimed.
 
     A vertex is stepped once: when the first claim reaches it or at its
-    wake round, whichever comes first; then it halts.
+    wake round, whichever comes first; then it halts. Its state is its
+    wake round until then and its center afterwards.
     """
 
     def __init__(self, budget: int, eps_float: float):
@@ -57,23 +58,18 @@ class _ClusterRace(VertexProgram):
     def init(self, ctx):
         u = (ctx.rand(0).getrandbits(64) + 1) * 2.0**-64
         shift = min(-math.log(u) / self.eps, float(self.budget))
-        wake = int(math.floor(self.budget - shift)) + 1
-        return {"wake": wake, "center": -1}
+        return int(math.floor(self.budget - shift)) + 1
 
-    def idle_until(self, state):
-        return state["wake"]
+    def idle_until(self, wake):
+        return wake
 
-    def step(self, ctx, state, rnd, inbox):
+    def step(self, ctx, wake, rnd, inbox):
         center = min(inbox.values(), default=None)
-        if rnd >= state["wake"] and (center is None or ctx.vertex < center):
+        if rnd >= wake and (center is None or ctx.vertex < center):
             center = ctx.vertex
         if center is None:
-            return state, (), False
-        state = {"wake": state["wake"], "center": center}
-        return state, [(center, range(ctx.degree))], True
-
-    def output(self, ctx, state):
-        return state["center"]
+            return wake, (), False
+        return center, [(center, range(ctx.degree))], True
 
 
 def ldd_traced(
@@ -87,7 +83,7 @@ def ldd_traced(
     race = _ClusterRace(budget, float(eps))
     centers_of, trace = run(g, race, budget + 2, congest_cap(g.n), seed)
     cut = sum(1 for u, v in g.edges if centers_of[u] != centers_of[v])
-    centers = tuple(sorted({c for c in centers_of}))
+    centers = tuple(sorted(set(centers_of)))
     return (
         Clustering(tuple(centers_of), centers, cut, budget),
         trace,

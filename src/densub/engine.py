@@ -130,19 +130,15 @@ def msg_bits(m) -> int:
 
 
 class VertexContext:
-    """Local view handed to a vertex program: its id, the edge id behind
-    each of its ports (`incident[port]`), and a PRNG."""
+    """Local view handed to a vertex program: its id, its port count and
+    a PRNG."""
 
-    __slots__ = ("vertex", "incident", "_seed")
+    __slots__ = ("vertex", "degree", "_seed")
 
-    def __init__(self, vertex, incident, seed):
+    def __init__(self, vertex, degree, seed):
         self.vertex = vertex
-        self.incident = incident
+        self.degree = degree
         self._seed = seed
-
-    @property
-    def degree(self) -> int:
-        return len(self.incident)
 
     def rand(self, rnd: int):
         """Counter-based PRNG keyed by (global seed, vertex, round)."""
@@ -153,14 +149,15 @@ class VertexContext:
 
 
 class VertexProgram:
-    """Behavior contract: init/step/output, and optionally idle_until.
+    """Behavior contract: init/step, and optionally idle_until.
 
-    Messages are addressed by port: port i of v is its i-th incident edge,
-    ctx.incident[i]. step gets the inbox as a dict from the receiver's
-    ports to the messages that arrived on them, and returns (state, outbox,
-    halted), the outbox a sequence of (message, ports) pairs: the message
-    is sized once and sent on each listed port, each port at most once per
-    step. A halted vertex is never stepped again; its last outbox is sent.
+    Messages are addressed by port: port i of v, for i in
+    range(ctx.degree), is its i-th incident edge. step gets the inbox as a
+    dict from the receiver's ports to the messages that arrived on them,
+    and returns (state, outbox, halted), the outbox a sequence of (message,
+    ports) pairs: the message is sized once and sent on each listed port,
+    each port at most once per step. A halted vertex is never stepped
+    again; its last outbox is sent.
 
     A program may also define `idle_until(state) -> int`, the first round
     in which the vertex must be stepped even with an empty inbox. Stepping
@@ -174,9 +171,6 @@ class VertexProgram:
     def step(self, ctx: VertexContext, state, rnd: int, inbox: dict):
         raise NotImplementedError
 
-    def output(self, ctx: VertexContext, state):
-        return state
-
 
 def run(
     g: Graph,
@@ -184,51 +178,42 @@ def run(
     max_rounds: int = 1_000_000,
     cap: int | None = None,
     seed: int = 0,
-    schedule: str = "forward",
     round_hook: Callable[[int, list], bool] | None = None,
 ):
     """Execute synchronized rounds until every vertex halts.
 
     The run ends in the round the last vertex halts; mail still addressed
-    to halted vertices is dropped. Returns (outputs, RoundTrace).
+    to halted vertices is dropped. Returns (final states, RoundTrace).
     `cap=None` runs the LOCAL model: messages are unbounded. An int `cap`
     is the CONGEST word in bits per edge per direction per round. It is
     enforced (a longer message raises `CongestViolation`) from 16 vertices
     on; below that, where it can be narrower than the 8-bit minimum word,
     oversized messages are only recorded as violations.
-    `schedule` permutes the order vertices are stepped within a round;
-    results are identical for any schedule because all inboxes of a round
-    are materialized before any step runs.
+    Live vertices are stepped in id order; results do not depend on the
+    order because all inboxes of a round are materialized before any step
+    runs.
     `round_hook(rnd, states)`, if given, runs after each round and may
     return True to stop the simulation (used by globally-coordinated
     algorithms whose aggregation rounds are charged separately).
     If the program defines `idle_until`, a round steps only the vertices
     with mail and those whose wake round has come; with no mail in
     flight and no hook, the run skips ahead to the earliest wake round.
-    Rounds, bits and outputs are those of stepping every vertex in every
-    round.
+    Rounds, bits and final states are those of stepping every vertex in
+    every round.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     n = g.n
     strict = n >= 16
     adj = g.adj
-    ctxs = [VertexContext(v, adj[v], seed) for v in range(n)]
+    ctxs = [VertexContext(v, len(adj[v]), seed) for v in range(n)]
     states = [program.init(ctxs[v]) for v in range(n)]
     halted = [False] * n
     inboxes: list[dict | None] = [None] * n
     trace = RoundTrace()
-    order = list(range(n))
-    if schedule == "reverse":
-        order.reverse()
-    elif schedule == "shuffled":
-        _random.Random(seed ^ _MIX2).shuffle(order)
-    elif schedule != "forward":
-        raise ValueError(f"unknown schedule {schedule!r}")
 
     idle = getattr(program, "idle_until", None)
     if idle is not None:
-        rank = {v: i for i, v in enumerate(order)}.get
         # every live vertex is filed in `wakes` under sleep[v], the round
         # it is next stepped in without mail; entries whose round no
         # longer matches sleep[v] are stale
@@ -249,14 +234,14 @@ def run(
             raise MaxRoundsExceeded(f"no global halt within {max_rounds} rounds")
         rnd += 1
         if idle is None:
-            todo = order
+            todo = range(n)
         else:
             due = set(mailed)
             while wakes and wakes[0][0] <= rnd:
                 w, v = heapq.heappop(wakes)
                 if sleep[v] == w:
                     due.add(v)
-            todo = sorted(due, key=rank)
+            todo = sorted(due)
         mailed = []
         next_inboxes: list[dict | None] = [None] * n
         for v in todo:
@@ -310,8 +295,7 @@ def run(
     trace.total_bits = total
     trace.max_message_bits = widest
     trace.violations.sort()
-    outputs = [program.output(ctxs[v], states[v]) for v in range(n)]
-    return outputs, trace
+    return states, trace
 
 
 # ---------------------------------------------------------------------------

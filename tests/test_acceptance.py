@@ -44,6 +44,7 @@ from densub.orient import (
     split_levels,
     weak_orientation,
 )
+from test_engine import reference_run, step_orders
 from test_orient import edge_multiset, endpoint_counts, max_length
 
 
@@ -338,26 +339,15 @@ def test_criterion_11_alpha_bit_width():
 
 
 def test_criterion_12_determinism():
-    """Bit-identical reports under a fixed seed, any engine schedule."""
+    """Bit-identical reports under a fixed seed, in any step order."""
     g = erdos_renyi(24, 0.4, seed=12)
-    # engine-level: the same program under different schedules
-    for schedule in ("forward", "reverse", "shuffled"):
-        outs, trace = run(
-            g,
-            _LoadProgram(Fraction(2), 32),
-            cap=congest_cap(g.n),
-            seed=9,
-            schedule=schedule,
-        )
-        snap = (
-            tuple(tuple(o["key"]) for o in outs),
-            trace.to_json()["rounds"],
-            trace.to_json()["total_bits"],
-        )
-        if schedule == "forward":
-            base = snap
-        else:
-            assert snap == base
+    # engine-level: the engine run equals a per-message reference stepped
+    # in forward, reverse and shuffled order, on full states and trace
+    cap = congest_cap(g.n)
+    states, trace = run(g, _LoadProgram(Fraction(2), 32), cap=cap, seed=9)
+    for order in step_orders(g.n, 9):
+        want = reference_run(g, _LoadProgram(Fraction(2), 32), cap, 9, order)
+        assert (states, trace.to_json()) == want
     # pipeline-level: exact reproduction run to run
     c1, t1 = ldd_traced(g, Fraction(1, 4), seed=77)
     c2, t2 = ldd_traced(g, Fraction(1, 4), seed=77)
@@ -373,4 +363,4 @@ def test_criterion_12_determinism():
     o2 = orient_low_outdegree_detailed(gk, 128, Fraction(1, 4), T_override=64)
     assert o1.orientation == o2.orientation
     assert o1.trace.to_json() == o2.trace.to_json()
-    announce(12, "schedules and repeat runs reproduce bit-identical reports")
+    announce(12, "step orders and repeat runs reproduce bit-identical reports")

@@ -12,10 +12,12 @@ from densub.decompose import Clustering
 from densub.engine import RoundTrace
 from densub.graphs import (
     Graph,
+    barbell,
     complete,
     cycle,
     erdos_renyi,
     path,
+    planted_dense,
     write_edge_list,
 )
 
@@ -115,6 +117,36 @@ class TestCli:
         assert (tmp_path / "pair.path").exists()
 
     @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["--kind", "planted_dense", "--params", "n_outer=8,clique_size=4",
+              "--seed", "2"], planted_dense(8, 4, 2)),
+            (["--kind", "barbell", "--params", "clique_size=3,path_len=2"],
+             barbell(3, 2)),
+            (["--kind", "cycle", "--params", "n=4"], cycle(4)),
+        ],
+        ids=["planted_dense", "barbell", "cycle"],
+    )
+    def test_gen_without_out_prints_the_edge_list(self, capsys, argv, want):
+        assert main(["gen"] + argv) == 0
+        assert capsys.readouterr().out == write_edge_list(want)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kind", "lowerbound_pair", "--params", "eps=1/10"],
+             "--out is required for lowerbound_pair"),
+            (["--kind", "cycle", "--params", "n"],
+             "bad --params entry 'n'; want key=value"),
+        ],
+        ids=["lowerbound_pair-without-out", "params-without-value"],
+    )
+    def test_gen_usage_error(self, capsys, argv, message):
+        code, payload = run_json(capsys, ["gen"] + argv)
+        assert code == 2
+        assert payload == {"error": "UsageError", "message": message}
+
+    @pytest.mark.parametrize(
         "argv, missing",
         [
             (["--kind", "cycle"], "n"),
@@ -169,6 +201,20 @@ class TestCli:
         assert code == 0
         assert payload["result"]["density"] == "1/1"
         assert payload["result"]["marked"] == list(range(20))
+        assert payload["check"]["pass"] is True
+
+    @pytest.mark.parametrize(
+        "cmd, eps", [("detect-local", "1/5"), ("detect-congest", "1/8")]
+    )
+    def test_detect_on_edgeless_graph_marks_nothing(self, capsys, tmp_path, cmd, eps):
+        p = tmp_path / "e6.el"
+        p.write_text("6 0\n", encoding="utf-8")
+        code, payload = run_json(
+            capsys, [cmd, "--in", str(p), "--dtilde", "1", "--eps", eps]
+        )
+        assert code == 0
+        assert payload["result"]["marked"] == []
+        assert payload["check"]["achieved"] == "0/1"
         assert payload["check"]["pass"] is True
 
     def test_detect_congest(self, capsys, k5_file):
@@ -332,18 +378,23 @@ class TestCli:
         assert payload["check"]["pass"] is True
 
     def test_ldd_failing_its_check_exits_1(self, capsys, tmp_path, monkeypatch):
-        # cluster 0 = {0, 3} is not connected in path(4)
-        bad = Clustering((0, 1, 1, 0), (0, 1), 2, 1)
-        monkeypatch.setattr(
-            cli, "ldd_traced", lambda g, eps, seed: (bad, RoundTrace())
-        )
         p = tmp_path / "p4.el"
         p.write_text(write_edge_list(path(4)), encoding="utf-8")
-        code, payload = run_json(
-            capsys, ["ldd", "--in", str(p), "--eps", "1/4"]
-        )
-        assert code == 1
-        assert payload["check"]["pass"] is False
+        for clustering, want in [
+            # cluster 0 = {0, 3} is not connected in path(4)
+            (Clustering((0, 1, 1, 0), (0, 1), 2, 1), 1),
+            # one connected cluster, but vertex 3 is 3 hops from center 0
+            (Clustering((0, 0, 0, 0), (0,), 0, 2), 1),
+            (Clustering((0, 0, 0, 0), (0,), 0, 3), 0),
+        ]:
+            monkeypatch.setattr(
+                cli, "ldd_traced", lambda g, eps, seed: (clustering, RoundTrace())
+            )
+            code, payload = run_json(
+                capsys, ["ldd", "--in", str(p), "--eps", "1/4"]
+            )
+            assert code == want
+            assert payload["check"]["pass"] is (want == 0)
 
     def test_approx(self, capsys, k5_file):
         code, payload = run_json(
@@ -466,15 +517,13 @@ def test_public_api_is_pinned():
     # a new export needs a caller outside tests/; growing this list is a
     # deliberate change, not a side effect
     assert sorted(densub.__all__) == [
-        "Clustering", "DetectionOutput", "DirectedDetectionOutput",
-        "DirectedGraph", "DualSolution", "Graph", "OracleResult",
-        "Orientation", "RoundTrace", "Subset", "VertexProgram",
-        "alpha_bit_width", "approx_densest", "brute_densest",
+        "Clustering", "DetectionOutput", "DirectedGraph", "DualSolution",
+        "Graph", "OracleResult", "Orientation", "RoundTrace", "Subset",
+        "VertexProgram", "alpha_bit_width", "approx_densest", "brute_densest",
         "brute_directed_densest", "collect_ball", "component_aggregate",
         "congest_detect", "density", "directed_split", "exact_densest",
-        "fractional_dual", "generate", "integral_primal", "knowledge_states",
-        "ldd_traced", "local_detect", "local_detect_directed",
-        "lowerbound_pair", "min_max_outdegree", "msg_bits",
-        "orient_low_outdegree_detailed", "path_decompose", "read_edge_list",
-        "run", "weak_orientation", "write_edge_list",
+        "fractional_dual", "generate", "integral_primal", "ldd_traced",
+        "local_detect", "lowerbound_pair", "msg_bits",
+        "orient_low_outdegree_detailed", "read_edge_list", "run",
+        "weak_orientation", "write_edge_list",
     ]

@@ -86,7 +86,7 @@ class TestLdd:
         budget = c.budget
         wake = {}
         for v in range(g.n):
-            ctx = VertexContext(v, g.adj[v], seed)
+            ctx = VertexContext(v, g.degree(v), seed)
             u = (ctx.rand(0).getrandbits(64) + 1) * 2.0**-64
             shift = min(-math.log(u) / float(eps), float(budget))
             wake[v] = int(math.floor(budget - shift)) + 1

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -27,9 +28,6 @@ class HaltImmediately(VertexProgram):
 
     def step(self, ctx, state, rnd, inbox):
         return state, (), True
-
-    def output(self, ctx, state):
-        return state
 
 
 class Flood(VertexProgram):
@@ -86,14 +84,10 @@ class TestRun:
 
     def test_determinism_across_schedules(self):
         g = cycle(12)
-        runs = [
-            run(g, Flood(7), seed=3, schedule=s)
-            for s in ("forward", "reverse", "shuffled")
-        ]
-        base_out, base_trace = runs[0]
-        for outs, trace in runs[1:]:
-            assert outs == base_out
-            assert trace.to_json() == base_trace.to_json()
+        states, trace = run(g, Flood(7), seed=3)
+        for order in step_orders(g.n, 3):
+            want = reference_run(g, Flood(7), None, 3, order)
+            assert (states, trace.to_json()) == want
 
     def test_congest_strict_abort(self):
         with pytest.raises(CongestViolation):
@@ -242,12 +236,21 @@ class Talk(VertexProgram):
         return (stop, heard), out, rnd >= stop
 
 
-def reference_run(g, program, cap, seed):
-    """engine.run on fewer than 16 vertices restated one message at a time:
-    every live vertex steps every round, each word is sized per copy, and
-    the receiving port is looked up by edge id."""
+def step_orders(n, seed):
+    """Forward, reverse and seeded-shuffled orders of range(n)."""
+    shuffled = list(range(n))
+    random.Random(seed).shuffle(shuffled)
+    return [list(range(n)), list(reversed(range(n))), shuffled]
+
+
+def reference_run(g, program, cap, seed, order):
+    """engine.run restated one message at a time, for runs on fewer than
+    16 vertices or within their cap (None: LOCAL): every live vertex steps
+    every round, in the given order, each word is sized per copy, and the
+    receiving port is looked up by edge id. Returns (final states, trace
+    JSON)."""
     n = g.n
-    ctxs = [VertexContext(v, g.adj[v], seed) for v in range(n)]
+    ctxs = [VertexContext(v, g.degree(v), seed) for v in range(n)]
     states = [program.init(c) for c in ctxs]
     halted = [False] * n
     inboxes = [{} for _ in range(n)]
@@ -256,7 +259,7 @@ def reference_run(g, program, cap, seed):
     while not all(halted):
         rnd += 1
         nxt = [{} for _ in range(n)]
-        for v in range(n):
+        for v in order:
             if halted[v]:
                 continue
             states[v], outbox, halted[v] = program.step(
@@ -267,20 +270,19 @@ def reference_run(g, program, cap, seed):
                     eid = g.adj[v][i]
                     u = sum(g.edges[eid]) - v
                     bits = msg_bits(m)
-                    if bits > cap:
+                    if cap is not None and bits > cap:
                         violations.append([rnd, eid, bits])
                     total += bits
                     widest = max(widest, bits)
                     nxt[u][g.adj[u].index(eid)] = m
         inboxes = nxt
-    outputs = [program.output(ctxs[v], states[v]) for v in range(n)]
     trace = {
         "rounds": rnd,
         "max_message_bits": widest,
         "total_bits": total,
         "violations": sorted(violations),
     }
-    return outputs, trace
+    return states, trace
 
 
 @st.composite
@@ -321,15 +323,10 @@ class TestPortContract:
     ):
         # under 16 vertices a CONGEST run is permissive, so oversized words
         # are recorded with their edge ids rather than raised
-        want_outs, want_trace = reference_run(
-            g, Talk(broadcast, life), cap, seed
-        )
-        for schedule in ("forward", "reverse", "shuffled"):
-            outs, trace = run(
-                g, Talk(broadcast, life), cap=cap, seed=seed, schedule=schedule
-            )
-            assert outs == want_outs
-            assert trace.to_json() == want_trace
+        states, trace = run(g, Talk(broadcast, life), cap=cap, seed=seed)
+        for order in step_orders(g.n, seed):
+            want = reference_run(g, Talk(broadcast, life), cap, seed, order)
+            assert (states, trace.to_json()) == want
 
     def test_a_port_used_twice_in_one_step_raises(self):
         class Twice(VertexProgram):
@@ -431,8 +428,7 @@ class Snooze(VertexProgram):
 class TestIdleUntil:
     GRAPHS = [path(9), cycle(12), complete(6), Graph(7, [(0, 1), (2, 3)])]
 
-    @pytest.mark.parametrize("schedule", ["forward", "reverse", "shuffled"])
-    def test_skipping_matches_stepping_every_vertex(self, schedule):
+    def test_skipping_matches_stepping_every_vertex(self):
         def observe(program, g, hooked):
             log = []
 
@@ -441,8 +437,7 @@ class TestIdleUntil:
                 return False
 
             outs, trace = run(
-                g, program, seed=4, schedule=schedule,
-                round_hook=hook if hooked else None,
+                g, program, seed=4, round_hook=hook if hooked else None
             )
             return outs, trace.to_json(), log
 
@@ -541,8 +536,6 @@ def _grid(a, b):
 
 class TestComponentDiameter:
     def test_equals_all_pairs_bfs_without_bfs_calls(self, monkeypatch):
-        import random
-
         from densub.engine import _component_diameter
         from densub.graphs import erdos_renyi
 

@@ -5,6 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densub.decompose import ldd_traced
+from densub.detect_congest import approx_densest, congest_detect
+from densub.detect_local import local_detect
+from densub.engine import (
+    VertexProgram,
+    collect_ball,
+    component_aggregate,
+    knowledge_states,
+    run,
+)
 from densub.graphs import (
     DirectedGraph,
     EdgeListError,
@@ -28,6 +38,9 @@ from densub.graphs import (
     read_edge_list,
     write_edge_list,
 )
+from densub.mwu import fractional_dual
+from densub.oracle import brute_densest, brute_directed_densest, exact_densest
+from densub.orient import orient_low_outdegree_detailed, path_decompose, split_levels
 
 
 def full(g):
@@ -300,3 +313,67 @@ class TestRationalHelpers:
         assert not is_neg_pow2(Fraction(1, 6))
         assert not is_neg_pow2(Fraction(2))
         assert not is_neg_pow2(Fraction(1))
+
+
+EPS01 = "eps must lie in (0, 1)"
+KINDS = ["barbell", "complete", "cycle", "erdos_renyi", "lowerbound_pair",
+         "path", "planted_dense"]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Graph(-1, []), "vertex count must be non-negative"),
+        (lambda: DirectedGraph(-1, []), "vertex count must be non-negative"),
+        (lambda: DirectedGraph(3, [(1, 1)]), "self-loop at vertex 1"),
+        (lambda: DirectedGraph(3, [(0, 3)]), "arc (0, 3) out of range for n=3"),
+        (lambda: DirectedGraph(3, [(0, 1), (0, 1)]), "duplicate arc (0, 1)"),
+        (lambda: Subset(3, [3]), "vertex 3 out of range for n=3"),
+        (lambda: density(path(3), Subset(4, [0])),
+         "subset does not belong to this graph"),
+        (lambda: cycle(2), "cycle needs at least 3 vertices"),
+        (lambda: path(0), "path needs at least 1 vertex"),
+        (lambda: complete(0), "complete graph needs at least 1 vertex"),
+        (lambda: erdos_renyi(0, 0.5, 1), "erdos_renyi needs at least 1 vertex"),
+        (lambda: planted_dense(3, 4, 0), "need 1 <= clique_size <= n_outer"),
+        (lambda: barbell(0, 1), "need clique_size >= 1 and path_len >= 1"),
+        (lambda: generate("star", {}), f"unknown kind 'star'; options: {KINDS}"),
+        (lambda: ceil_log2(0), "ceil_log2 requires a positive argument"),
+        (lambda: exact_densest(Graph(0, [])), "graph has no vertices"),
+        (lambda: brute_densest(Graph(0, [])), "graph has no vertices"),
+        (lambda: brute_directed_densest(DirectedGraph(0, [])),
+         "graph has no vertices"),
+        (lambda: ldd_traced(path(3), 1, 0), EPS01),
+        (lambda: approx_densest(path(3), Fraction(1, 4), 0),
+         "eps must lie in (0, 1/4)"),
+        (lambda: local_detect(path(3), 1, 1), EPS01),
+        (lambda: congest_detect(path(3), -1, Fraction(1, 8), 0),
+         "dtilde must be non-negative"),
+        (lambda: local_detect(path(3), -1, Fraction(1, 5)),
+         "dtilde must be non-negative"),
+        (lambda: fractional_dual(path(3), 0, Fraction(1, 8)), "z must be positive"),
+        (lambda: path_decompose(path(3), -1), "levels must be >= 0"),
+        (lambda: split_levels(0), "eps must be positive"),
+        (lambda: orient_low_outdegree_detailed(
+            path(3), Fraction(1, 2), Fraction(1, 4)),
+         "dtilde must be a positive integer"),
+        (lambda: knowledge_states(path(3), -1), "rounds must be >= 0"),
+        (lambda: collect_ball(path(3), -1), "radius must be >= 0"),
+        (lambda: component_aggregate(path(3), [1]), "need one value per vertex"),
+        (lambda: run(path(3), VertexProgram(), max_rounds=0),
+         "max_rounds must be >= 1"),
+    ],
+    ids=[
+        "graph-n", "digraph-n", "digraph-loop", "digraph-range", "digraph-dup",
+        "subset-range", "density-foreign", "cycle", "path", "complete",
+        "erdos_renyi", "planted_dense", "barbell", "generate", "ceil_log2",
+        "exact", "brute", "brute-directed", "ldd-eps", "approx-eps",
+        "local-eps", "congest-dtilde", "local-dtilde", "dual-z",
+        "path_decompose", "split_levels", "orient-dtilde", "knowledge_states",
+        "collect_ball", "component_aggregate", "run-max_rounds",
+    ],
+)
+def test_invalid_input_raises_its_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
