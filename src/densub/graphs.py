@@ -120,6 +120,27 @@ def is_neg_pow2(q: Fraction) -> bool:
     return q.numerator == 1 and den > 1 and (den & (den - 1)) == 0
 
 
+def _checked_pairs(
+    n: int, pairs: Iterable[tuple[int, int]], kind: str
+) -> tuple[tuple[int, int], ...]:
+    """The pairs sorted, each edge as (min, max); raises ValueError on a
+    negative n, a self-loop, an endpoint out of range or a repeat."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    canon = []
+    for u, v in pairs:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"{kind} ({u}, {v}) out of range for n={n}")
+        canon.append((v, u) if kind == "edge" and v < u else (u, v))
+    canon.sort()
+    for i in range(1, len(canon)):
+        if canon[i] == canon[i - 1]:
+            raise ValueError(f"duplicate {kind} {canon[i]}")
+    return tuple(canon)
+
+
 class Graph:
     """Immutable simple undirected graph with dense vertex/edge ids.
 
@@ -131,21 +152,8 @@ class Graph:
     __slots__ = ("n", "edges", "adj", "_nbrs", "_ports")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        canon = []
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            canon.append((u, v) if u < v else (v, u))
-        canon.sort()
-        for i in range(1, len(canon)):
-            if canon[i] == canon[i - 1]:
-                raise ValueError(f"duplicate edge {canon[i]}")
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(canon)
+        self.edges: tuple[tuple[int, int], ...] = _checked_pairs(n, edges, "edge")
         adj: list[list[int]] = [[] for _ in range(n)]
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(self.edges):
@@ -283,21 +291,8 @@ class DirectedGraph:
     __slots__ = ("n", "arcs")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        canon = []
-        for u, v in arcs:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
-            canon.append((u, v))
-        canon.sort()
-        for i in range(1, len(canon)):
-            if canon[i] == canon[i - 1]:
-                raise ValueError(f"duplicate arc {canon[i]}")
         self.n = n
-        self.arcs: tuple[tuple[int, int], ...] = tuple(canon)
+        self.arcs: tuple[tuple[int, int], ...] = _checked_pairs(n, arcs, "arc")
 
     @property
     def m(self) -> int:

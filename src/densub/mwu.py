@@ -19,10 +19,12 @@ up among the low-load level sets. At least one of the two always delivers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
 from math import gcd
+from operator import itemgetter
 
 from .engine import (
     RoundTrace,
@@ -90,6 +92,7 @@ class _LoadProgram(VertexProgram):
             "key": list(range(deg)),
             "tot": [0] * deg,  # own grants so far per port, units of 1/q
             "pend": None,  # (ports granted 2, port granted rho or -1)
+            "order": [],  # key sorted, as of this round's grants
         }
 
     def step(self, ctx, state, rnd, inbox):
@@ -112,7 +115,7 @@ class _LoadProgram(VertexProgram):
             return state, (), True
         # codes for this iteration: 2 for the lightest cz-1, 1 for the next
         cz = self.cz
-        keys = sorted(key)
+        keys = state["order"] = sorted(key)
         tot = state["tot"]
         twos = [k % deg for k in keys[: cz - 1]]
         for i in twos:
@@ -226,6 +229,12 @@ class _PrimalDetector:
     (the band of loads is narrow, the global minimum only grows), so every
     word stays well inside a CONGEST word. Rounds and bits are charged
     accordingly; every word is also checked against the cap.
+
+    Each vertex reads its loads off its grant order, the keys the load
+    program sorted this round: floor(load) and ceil(load) are monotone in
+    the key, and an edge's load is the same at both of its ends, so that
+    one sorted list gives the load band, the vertex's join level (the ceil
+    of its cz-th lightest edge) and its highest edge level in the window.
     """
 
     def __init__(
@@ -245,24 +254,15 @@ class _PrimalDetector:
         q = loads.q
         self.parts = []
         for ci, comp in enumerate(comps):
-            # per edge, read at its smaller endpoint u and port i there: u's
-            # key divisor deg(u)*q and ceiling offset (q-1)*deg(u), and the
-            # edge's local endpoints; the order is free, since the scan
-            # tests a level only once all of its edges are counted
-            at: list[tuple[int, int, int, int]] = []
-            ends: list[tuple[int, int]] = []
-            for x, u in enumerate(comp):
-                du = g.degree(u)
-                for i, v in enumerate(g.neighbors(u)):
-                    if u < v:
-                        at.append((u, i, du * q, (q - 1) * du))
-                        ends.append((x, local[v]))
-            if not at:
+            mc = sum(map(g.degree, comp)) // 2
+            if not mc:
                 continue
+            # per vertex: its key divisor deg*q and ceiling offset (q-1)*deg
+            ports = [(v, g.degree(v) * q, (q - 1) * g.degree(v)) for v in comp]
             nbrs = [[local[u] for u in g.neighbors(v)] for v in comp]
             self.parts.append((
-                ci, comp, at, ends, nbrs, _component_diameter(g, comp),
-                load_range_bound(len(at), eps),
+                ci, ports, nbrs, _component_diameter(g, comp), mc,
+                load_range_bound(mc, eps),
             ))
         self.prev_lmin = [0] * len(comps)
         self.trace = RoundTrace()
@@ -275,68 +275,63 @@ class _PrimalDetector:
                 (self.trace.rounds_executed + 1, -1, bits)
             )
 
-    def scan(self, rnd: int, states):
+    def scan(self, rnd: int, states) -> list[int]:
         """Scan the loads after iteration rnd-1, read off the load states.
-        Returns winners {comp_index: (l, V' ids)}."""
+        Returns the vertices of every component's winning level set."""
         cz, thr_num, thr_den = self.cz, self.thr_num, self.thr_den
-        key_of = [st["key"] for st in states]
-        winners = {}
+        winners: list[int] = []
         round_cost = 0
-        for ci, comp, at, ends, nbrs, diam, load_range in self.parts:
-            mc = len(at)
-            tree_edges = len(comp) - 1
+        for ci, ports, nbrs, diam, mc, load_range in self.parts:
+            tree_edges = len(ports) - 1
             # key // (deg*q) is floor(load): the port adds less than deg
-            floors = [key_of[u][i] // dq for u, i, dq, _ in at]
-            l_min = min(floors)
-            floor_max = max(floors)
+            keys = [states[v]["order"] for v, _, _ in ports]
+            l_min = min([k[0] // dq for k, (_, dq, _) in zip(keys, ports)])
+            floor_max = max([k[-1] // dq for k, (_, dq, _) in zip(keys, ports)])
             l_max = l_min + load_range
-            # one int key per edge, ceil(load) * mc + local index, and a
-            # sentinel past the window
-            keys = [
-                (key_of[u][i] + up) // dq * mc + j
-                for j, (u, i, dq, up) in enumerate(at)
-            ]
-            keys.sort()
-            keys.append((l_max + 1) * mc)
-            # a vertex joins V' once it has cz incident edges at or below l
-            cnt = [0] * len(comp)
-            inside = bytearray(len(comp))
+            # v joins V'_l once cz of its edges have ceil(load) <= l; the set
+            # only changes at join levels, so only those are tested
+            joins = sorted([
+                ((k[cz - 1] + up) // dq, x)
+                for x, (k, (_, dq, up)) in enumerate(zip(keys, ports))
+                if len(k) >= cz
+            ])
+            inside = bytearray(len(ports))
             size = e_inside = 0
             win = None
-            scanned_until = l_min
-            k = 0
-            key = keys[0]
-            while key < keys[-1]:
-                c = key // mc
-                base, end = c * mc, c * mc + mc
-                while key < end:
-                    for x in ends[key - base]:
-                        cnt[x] += 1
-                        if cnt[x] == cz:
-                            for y in nbrs[x]:
-                                e_inside += inside[y]
-                            inside[x] = 1
-                            size += 1
-                    k += 1
-                    key = keys[k]
-                scanned_until = c
-                if size and e_inside * thr_den >= thr_num * size:
-                    win = (c, [v for v, x in zip(comp, inside) if x])
+            for level, group in groupby(joins, itemgetter(0)):
+                if level > l_max:
                     break
-            span = scanned_until - l_min + 1
+                for _, x in group:
+                    for y in nbrs[x]:
+                        e_inside += inside[y]
+                    inside[x] = 1
+                    size += 1
+                if e_inside * thr_den >= thr_num * size:
+                    win = level
+                    break
+            top = win
+            if win is None:
+                # the pair stream runs to the highest edge level in the
+                # window, joined by a vertex there or not
+                top = max([
+                    (k[i - 1] + up) // dq
+                    for k, (_, dq, up) in zip(keys, ports)
+                    if (i := bisect_left(k, (l_max + 1) * dq - up))
+                ])
+            span = top - l_min + 1
             # minima travel as offsets within the load band: subtree minima
             # up the tree (at most floor_max - prev), the result back down
             prev = self.prev_lmin[ci]
             self._charge_word(max(floor_max - prev, 0), tree_edges)
             self._charge_word(max(l_min - prev, 0), tree_edges)
             self.prev_lmin[ci] = l_min
-            self._charge_word(len(comp), tree_edges * span)
+            self._charge_word(len(ports), tree_edges * span)
             self._charge_word(mc, tree_edges * span)
             rounds_ci = (2 * diam + 2) + (diam + 1 + 2 * span)
             if win is not None:
-                winners[ci] = win
+                winners += [v for (v, _, _), x in zip(ports, inside) if x]
                 rounds_ci += diam + 1
-                self._charge_word(win[0] - l_min, tree_edges)
+                self._charge_word(win - l_min, tree_edges)
             round_cost = max(round_cost, rounds_ci)
         self.trace.rounds_executed += round_cost
         return winners
@@ -361,22 +356,16 @@ def integral_primal(
     loads = _LoadProgram(z, T)
     cap = congest_cap(g.n) if cap_bits is None else cap_bits
     detector = _PrimalDetector(g, z, eps, loads, cap)
-    found: dict = {}
+    found: list[int] = []
 
     def hook(rnd: int, states) -> bool:
-        if rnd > T:
-            return False
-        winners = detector.scan(rnd, states)
-        if winners:
-            found.update(winners)
-            return True
-        return False
+        if rnd <= T:
+            found.extend(detector.scan(rnd, states))
+        return bool(found)
 
     _, trace = run(g, loads, T + 2, cap, round_hook=hook)
     trace.then(detector.trace)
-    if not found:
-        return None, trace
-    return Subset(g.n, (v for _l, ids in found.values() for v in ids)), trace
+    return (Subset(g.n, found) if found else None), trace
 
 
 def alpha_bit_width(sol: DualSolution) -> int:

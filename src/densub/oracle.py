@@ -72,6 +72,8 @@ class _Dinic:
                         level[u] = lv
                         q.append(u)
             if level[t] < 0:
+                # the residual reach of s: the minimal min cut's source side
+                self.level = level
                 return flow
             # blocking flow without recursion: grow a path of level arcs
             # from s one arc at a time, augment it on reaching t, and
@@ -106,18 +108,6 @@ class _Dinic:
                         path.pop()
                 v = to[path[-1]] if path else s
 
-    def min_cut_side(self, s: int) -> set[int]:
-        """Vertices reachable from s in the residual graph (minimal cut side)."""
-        side = {s}
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for i in self.head[v]:
-                if self.cap[i] > 0 and self.to[i] not in side:
-                    side.add(self.to[i])
-                    q.append(self.to[i])
-        return side
-
 
 def _denser_than(g: Graph, guess: Fraction) -> tuple[set[int] | None, list[int]]:
     """A vertex set of density > guess, or a proof that none exists.
@@ -145,9 +135,7 @@ def _denser_than(g: Graph, guess: Fraction) -> tuple[set[int] | None, list[int]]
     if flow >= m * n * b:
         # edge e's arc u->v is arc 4n + 2e; its pair's residual is b + f(u->v)
         return None, net.cap[4 * n + 1 :: 2]
-    side = net.min_cut_side(src)
-    side.discard(src)
-    return side, []
+    return {v for v in range(n) if net.level[v] >= 0}, []
 
 
 def _check_certificate(

@@ -91,6 +91,19 @@ class TestCli:
         assert code == 0
         assert payload["result"]["D"] == "2/1"
 
+    def test_out_writes_the_printed_report(self, capsys, tmp_path, k5_file):
+        out = tmp_path / "report.json"
+        argv = ["exact", "--in", k5_file, "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == ""
+        written = json.loads(out.read_text(encoding="utf-8"))
+        code, printed = run_json(capsys, ["exact", "--in", k5_file])
+        assert code == 0
+        assert written["command"] == " ".join(argv)
+        for report in (written, printed):
+            del report["wall_time_s"], report["command"]
+        assert written == printed
+
     def test_gen_roundtrip(self, capsys, tmp_path):
         out = tmp_path / "c6.el"
         code = main(

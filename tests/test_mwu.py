@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 from itertools import chain
+from math import floor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densub.engine import congest_cap, run
@@ -59,6 +60,11 @@ def small_graphs(draw):
     return Graph(n, [e for e in pairs if draw(st.booleans())])
 
 
+def disjoint_union(a, b):
+    shifted = ((u + a.n, v + a.n) for u, v in b.edges)
+    return Graph(a.n + b.n, [*a.edges, *shifted])
+
+
 def reference_dynamics(g, z, T):
     """The grant dynamics run centrally on Fraction loads: every iteration
     each vertex grants 2 to its lightest ceil(z/2)-1 edges, ordered by
@@ -78,6 +84,67 @@ def reference_dynamics(g, z, T):
                 grants[v][g.adj[v].index(eid)] += amount
         load = [x + y for x, y in zip(load, added)]
     return load, grants
+
+
+def eccentricity(g, s):
+    """Largest BFS distance from s within its component."""
+    dist = {s: 0}
+    queue = [s]
+    for v in queue:
+        for u in g.neighbors(v):
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist[queue[-1]]
+
+
+def reference_primal(g, z, eps, T):
+    """integral_primal from the definitions, on reference_dynamics' loads.
+
+    The scan at round k+1 sees the loads after k iterations. Per component
+    with edges, V'_l holds every vertex with at least ceil(z/2) incident
+    edges of ceil(load) <= l, for l from the least floor(load) l_min up to
+    l_max = l_min + load_range_bound(m_c, eps); the first nonempty V'_l
+    with |E(V'_l)| >= (1-3*eps)*z*|V'_l| wins, and the run stops after the
+    first round with a winner. A scan charges, per component, 2*diam+2
+    convergecast rounds, diam+1+2*span pair-stream rounds and diam+1 more
+    on success; span runs from l_min to the winning level or, with no
+    winner, to the highest ceil(load) <= l_max. Scans cost the maximum
+    over components. Returns (Subset or None, rounds executed)."""
+    cz = frac_ceil(z / 2)
+    thr = (1 - 3 * eps) * z
+    comps = []
+    for comp in g.components():
+        eids = sorted({e for v in comp for e in g.adj[v]})
+        if eids:
+            diam = max(eccentricity(g, v) for v in comp)
+            comps.append((comp, [g.edges[e] for e in eids], eids, diam))
+    rounds = 0
+    for k in range(T):
+        load, _ = reference_dynamics(g, z, k)
+        level = [frac_ceil(x) for x in load]
+        won, cost = set(), 0
+        for comp, edges, eids, diam in comps:
+            l_min = min(floor(load[e]) for e in eids)
+            l_max = l_min + load_range_bound(len(eids), eps)
+            extra = 0
+            top = max(level[e] for e in eids if level[e] <= l_max)
+            for l in range(l_min, l_max + 1):
+                vs = {
+                    v for v in comp
+                    if sum(level[e] <= l for e in g.adj[v]) >= cz
+                }
+                inside = sum(u in vs and v in vs for u, v in edges)
+                if vs and inside * thr.denominator >= thr.numerator * len(vs):
+                    won |= vs
+                    top, extra = l, diam + 1
+                    break
+            span = top - l_min + 1
+            cost = max(cost, (2 * diam + 2) + (diam + 1 + 2 * span) + extra)
+        rounds += cost
+        if won:
+            return Subset(g.n, won), k + 1 + rounds
+    return None, T + 1 + rounds
 
 
 def alpha_of(sol):
@@ -304,6 +371,32 @@ class TestFractionalDual:
 
 
 class TestIntegralPrimal:
+    @settings(max_examples=80, deadline=None)
+    # random draws almost always win at round 1, where every load is 0, or
+    # never; these win at rounds 2 to 4, 2 to 4 levels above l_min
+    @example(erdos_renyi(9, 0.5, seed=342), Fraction(5, 2), Fraction(1, 8), 8)
+    @example(erdos_renyi(11, 0.3, seed=1410), Fraction(7, 3), Fraction(1, 8), 8)
+    @example(
+        disjoint_union(
+            erdos_renyi(10, 0.3, seed=192), erdos_renyi(6, 0.3, seed=555)
+        ),
+        Fraction(3, 2), Fraction(1, 16), 8,
+    )
+    @given(
+        graph=st.one_of(
+            small_graphs(), st.builds(disjoint_union, small_graphs(), small_graphs())
+        ),
+        z=st.sampled_from([1, Fraction(3, 2), Fraction(5, 2), Fraction(7, 3), 4]),
+        eps=st.sampled_from([Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]),
+        T=st.integers(min_value=1, max_value=8),
+    )
+    def test_scan_matches_level_set_reference(self, graph, z, eps, T):
+        z = Fraction(z)
+        want, rounds = reference_primal(graph, z, eps, T)
+        sub, trace = integral_primal(graph, z, eps, T_override=T)
+        assert sub == want
+        assert trace.rounds_executed == rounds
+
     def test_k4_below_density(self):
         # z=1 < D=3/2: the dual cannot be feasible, so the primal finds a
         # subgraph of density >= (1-3/8)*1 = 5/8
