@@ -233,7 +233,7 @@ def cmd_ldd(args, g, oracle_result):
     of = clustering.cluster_of
     inner = Graph(g.n, [(u, v) for u, v in g.edges if of[u] == of[v]])
     ok = all(
-        sorted(inner.bfs(c, clustering.budget, count=False)[0]) == members
+        sorted(inner.bfs(c, clustering.budget)[0]) == members
         for c, members in clustering.clusters().items()
     )
     result = {

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .decompose import shift_budget
-from .engine import RoundTrace, collect_ball, msg_bits
+from .engine import RoundTrace, _local_nbrs, _sweep, collect_ball, msg_bits
 from .graphs import DirectedGraph, Graph, Subset, density, format_ratio
 from . import oracle
 
@@ -98,31 +100,32 @@ def _protocol(g: Graph, dtilde, eps, solve, is_active):
     r = detection_radius(g.n, eps)
     balls, trace = collect_ball(g, r)
     threshold = (1 - eps) * dtilde
-    cache: dict = {}
-    best = []
-    for verts, edges in balls:
-        if verts not in cache:
-            cache[verts] = solve(verts, edges)
-        best.append(cache[verts])
+    solved = {vs: solve(vs, es) for vs, es in dict(balls).items()}
+    best = [solved[verts] for verts, _ in balls]
     active = [is_active(sol, threshold) for sol in best]
-    # one BFS to 2r per vertex feeds the gossip charge and the election:
-    # black means active with no smaller active id within 2r
-    reach = 2 * r
-    w = msg_bits(g.n - 1) + 1
-    black = []
-    for v in range(g.n):
-        deg = g.degree(v)
-        if deg == 0 and not active[v]:
-            continue
-        order, dist, _ = g.bfs(v, reach, count=False)
-        if deg:
-            # after k rounds v has heard of everything within distance k,
-            # so a vertex at distance d < 2r rides in 2r - d of its messages
-            heard = [reach - dist[u] for u in order if dist[u] < reach]
-            trace.total_bits += deg * (4 * reach + w * sum(heard))
-            trace.charge(4 + len(heard) * w, 0)
-        if active[v] and not any(active[u] and u < v for u in order):
-            black.append(v)
+    # one all-sources sweep to 2r per component feeds the gossip charge and
+    # the election: black means active with no smaller active id within 2r
+    reach, w, black = 2 * r, msg_bits(g.n - 1) + 1, []
+    for comp in g.components():
+        nbrs = _local_nbrs(g, comp)
+        # after k rounds v has heard of B_k(v), so round k+1 carries |B_k|
+        # entries, B_{2r-1} in the last
+        heard = [0] * len(comp)
+        rows = [1 << i for i in range(len(comp))]
+        for rows, times in _sweep(nbrs, rows, reach):
+            heard = [h + times * x.bit_count() for h, x in zip(heard, rows)]
+        act = sum(1 << i for i, v in enumerate(comp) if active[v])
+        for i, v in enumerate(comp):
+            if g.degree(v):
+                trace.total_bits += g.degree(v) * (4 * reach + w * heard[i])
+                trace.charge(4 + rows[i].bit_count() * w, 0)
+            if active[v]:
+                # B_2r(v) is the union of B_{2r-1} over v and its neighbours
+                seen = reduce(or_, map(rows.__getitem__, nbrs[i]), rows[i])
+                seen &= act
+                if seen & -seen == 1 << i:
+                    black.append(v)
+    black.sort()
     trace.rounds_executed += reach
     w = msg_bits(g.n - 1)
     for v in black:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import random as _random
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Sequence
 
 from .graphs import Graph
@@ -36,6 +37,7 @@ _MIX1 = 0x9E3779B97F4A7C15
 _MIX2 = 0xBF58476D1CE4E5B9
 _MIX3 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits as 0/1 bytes
 
 
 def congest_cap(n: int) -> int:
@@ -314,20 +316,13 @@ def knowledge_states(g: Graph, rounds: int):
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    out = []
-    for v in range(g.n):
-        order, dist, _ = g.bfs(v, rounds, count=False)
-        verts = tuple(sorted(order))
-        # each edge once, at its smaller endpoint, gives the canonical
-        # order; it is known when an endpoint lies within rounds-1
-        known_edges = tuple(
-            (u, x)
-            for u in verts
-            for x in g.neighbors(u)
-            if x > u and (dist[u] < rounds or 0 <= dist[x] < rounds)
-        )
-        out.append((verts, known_edges))
-    return out
+    # the rounds-ball's edges with an endpoint in the (rounds-1)-ball
+    outer, _ = collect_ball(g, rounds)
+    inner, _ = collect_ball(g, max(rounds - 1, 0))
+    return [
+        (verts, tuple(e for e in edges if not near.isdisjoint(e)))
+        for (verts, edges), near in zip(outer, (set(b[0]) for b in inner))
+    ]
 
 
 def collect_ball(g: Graph, r: int):
@@ -345,32 +340,41 @@ def collect_ball(g: Graph, r: int):
         raise ValueError("radius must be >= 0")
     w = msg_bits(g.n - 1)
     trace = RoundTrace(rounds_executed=r + 1)
-    built: dict = {}
-    balls = []
-    for v in range(g.n):
-        order, dist, near = g.bfs(v, r)
-        verts = tuple(sorted(order))
-        ball = built.get(verts)
-        if ball is None:
-            # each edge once, at its smaller endpoint: canonical order
-            edges = tuple(
-                (u, x)
-                for u in verts
-                for x in g.neighbors(u)
-                if x > u and dist[x] >= 0
-            )
-            ball = built[verts] = (verts, edges)
-        balls.append(ball)
-        deg = g.degree(v)
-        if deg == 0:
-            continue
-        # round k sends own id + the edges known after k-1 rounds, those
-        # with nearer endpoint at distance <= k-1; the last payload is
-        # largest. An edge with nearer endpoint at d is sent in r+1-d rounds.
-        known = sum(near)
-        known_sum = sum(h * (r + 1 - d) for d, h in enumerate(near))
-        trace.total_bits += deg * ((r + 1) * (4 + w) + 2 * w * known_sum)
-        trace.charge(4 + w + 2 * w * known, 0)
+    balls: list = [None] * g.n
+    for comp in g.components():
+        nc, nbrs = len(comp), _local_nbrs(g, comp)
+        # bit i is local vertex i and bit nc+e local edge e, so after k
+        # levels row i holds B_k and E_k, the edges with an end within k
+        rows = [1 << i for i in range(nc)]
+        ends = [(i, j) for i, ns in enumerate(nbrs) for j in ns if i < j]
+        for e, (i, j) in enumerate(ends, nc):
+            rows[i] |= 1 << e
+            rows[j] |= 1 << e
+        # round k sends own id + E_{k-1}; the last payload, E_r, is largest
+        known_sum = [0] * nc
+        for rows, times in _sweep(nbrs, rows, r + 1):
+            known_sum = [
+                s + times * (x >> nc).bit_count() for s, x in zip(known_sum, rows)
+            ]
+        built: dict = {}
+        for i, row in enumerate(rows):  # level r
+            key = row & ((1 << nc) - 1)
+            if key not in built:
+                # local order is id order, so the bits decode sorted
+                bits = bin(key)[:1:-1].encode().translate(_BIT_BYTES)
+                verts = tuple(compress(comp, bits))
+                inside = set(verts)
+                # each edge once, at its smaller endpoint: canonical order
+                built[key] = verts, tuple(
+                    (u, x) for u in verts for x in g.neighbors(u)
+                    if x > u and x in inside
+                )
+            v = comp[i]
+            balls[v] = built[key]
+            if g.degree(v):
+                sent = (r + 1) * (4 + w) + 2 * w * known_sum[i]
+                trace.total_bits += g.degree(v) * sent
+                trace.charge(4 + w + 2 * w * (row >> nc).bit_count(), 0)
     return balls, trace
 
 
@@ -396,25 +400,40 @@ def component_aggregate(g: Graph, values: Sequence):
     return result, trace
 
 
-def _component_diameter(g: Graph, comp: list[int]) -> int:
-    """Exact diameter of the connected component `comp`.
-
-    All-sources BFS on bitsets: after d steps, reach[i] holds the vertices
-    within distance d of comp[i], the OR of its neighbours' sets after d-1
-    steps; the diameter is the first d at which every set is full.
-    """
+def _local_nbrs(g: Graph, comp: list[int]) -> list[list[int]]:
+    """Adjacency of the sorted component `comp`, vertex comp[i] as i."""
     local = {v: i for i, v in enumerate(comp)}
-    nbrs = [[local[u] for u in g.neighbors(v)] for v in comp]
-    full = (1 << len(comp)) - 1
-    reach = [1 << i for i in range(len(comp))]
-    d = 0
-    while any(r != full for r in reach):
-        nxt = []
-        for r, ns in zip(reach, nbrs):
-            for u in ns:
-                r |= reach[u]
-            nxt.append(r)
-        reach = nxt
-        d += 1
-    return d
+    return [[local[u] for u in g.neighbors(v)] for v in comp]
 
+
+def _sweep(nbrs: list[list[int]], rows: list[int], levels: int):
+    """All-sources BFS on bitsets over one connected component.
+
+    rows[i] is local vertex i's starting set as an int; each level ORs
+    every row with its neighbours' rows of the level before, so after k
+    levels row i is the union of the starting sets within distance k of
+    i. Yields (rows, times) for levels 0 .. levels-1, `times` counting the
+    levels the rows stand for: once every row holds every starting set,
+    after at most the diameter in levels, no row changes again and the
+    remaining levels come as one. Two levels of rows are alive at a time.
+    """
+    full = 0
+    for row in rows:
+        full |= row
+    while levels > 1 and rows.count(full) < len(rows):
+        yield rows, 1
+        levels -= 1
+        nxt = []
+        for row, ns in zip(rows, nbrs):
+            for u in ns:
+                row |= rows[u]
+            nxt.append(row)
+        rows = nxt
+    yield rows, levels
+
+
+def _component_diameter(g: Graph, comp: list[int]) -> int:
+    """Exact diameter of the connected component `comp`: the levels an
+    all-sources sweep of single-vertex rows takes to fill every row."""
+    rows = [1 << i for i in range(len(comp))]
+    return sum(1 for _ in _sweep(_local_nbrs(g, comp), rows, len(comp))) - 1

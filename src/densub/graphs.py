@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -191,44 +190,28 @@ class Graph:
             self._ports = tuple(map(tuple, back))
         return self._ports
 
-    def bfs(
-        self, src: int, radius: int | None = None, count: bool = True
-    ) -> tuple:
+    def bfs(self, src: int, radius: int | None = None) -> tuple:
         """Breadth-first search from src, out to `radius` hops.
 
-        Returns (order, dist, near): the vertices within the radius (the
-        whole component when radius is None) in visit order; the distance
-        of every vertex, -1 if not reached; and near[d], the number of edges
-        whose nearer endpoint is at distance d, for every level reached
-        (left empty when count is False).
+        Returns (order, dist): the vertices within the radius (the whole
+        component when radius is None) in visit order, and the distance of
+        every vertex, -1 if not reached.
         """
         nbrs, dist = self._nbrs, [-1] * self.n
         dist[src] = 0
-        order, level, near, d = [src], [src], [], 0
-        while level and (count or radius is None or d < radius):
-            # edges leaving the last level count, their far ends stay -1
-            grow = radius is None or d < radius
-            nxt, edges = [], 0
-            for v in level:
-                for u in nbrs[v]:
-                    du = dist[u]
-                    if du < 0:
-                        edges += 1
-                        if grow:
-                            dist[u] = d + 1
-                            nxt.append(u)
-                    elif count and (du > d or (du == d and u > v)):
-                        edges += 1
-            if count:
-                near.append(edges)
-            d += 1
-            order += nxt
-            level = nxt
-        return order, dist, near
+        order = [src]
+        for v in order:  # the visit order is the queue
+            if dist[v] == radius:
+                break
+            for u in nbrs[v]:
+                if dist[u] < 0:
+                    dist[u] = dist[v] + 1
+                    order.append(u)
+        return order, dist
 
     def distances_from(self, src: int) -> list[int]:
         """BFS distances from src; -1 for unreachable vertices."""
-        return self.bfs(src, count=False)[1]
+        return self.bfs(src)[1]
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by min vertex."""
@@ -239,14 +222,11 @@ class Graph:
                 continue
             seen[s] = True
             comp = [s]
-            q = deque([s])
-            while q:
-                v = q.popleft()
+            for v in comp:  # the component list is the queue
                 for u in self._nbrs[v]:
                     if not seen[u]:
                         seen[u] = True
                         comp.append(u)
-                        q.append(u)
             comps.append(sorted(comp))
         return comps
 

@@ -30,6 +30,7 @@ from .engine import (
     RoundTrace,
     VertexProgram,
     _component_diameter,
+    _local_nbrs,
     congest_cap,
     msg_bits,
     run,
@@ -247,10 +248,6 @@ class _PrimalDetector:
         self.thr_num = thr.numerator
         self.thr_den = thr.denominator
         comps = g.components()
-        local = [0] * g.n
-        for comp in comps:
-            for x, v in enumerate(comp):
-                local[v] = x
         q = loads.q
         self.parts = []
         for ci, comp in enumerate(comps):
@@ -259,7 +256,7 @@ class _PrimalDetector:
                 continue
             # per vertex: its key divisor deg*q and ceiling offset (q-1)*deg
             ports = [(v, g.degree(v) * q, (q - 1) * g.degree(v)) for v in comp]
-            nbrs = [[local[u] for u in g.neighbors(v)] for v in comp]
+            nbrs = _local_nbrs(g, comp)
             self.parts.append((
                 ci, ports, nbrs, _component_diameter(g, comp), mc,
                 load_range_bound(mc, eps),

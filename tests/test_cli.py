@@ -86,6 +86,21 @@ class TestCli:
         assert code == 0
         assert payload["result"]["D"] == "1999/1000"
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: erdos_renyi(3000, 0.002, seed=1), lambda: cycle(3000)],
+        ids=["gnp_3000", "cycle_3000"],
+    )
+    def test_detect_local_at_3000(self, capsys, tmp_path, make):
+        p = tmp_path / "g.el"
+        p.write_text(write_edge_list(make()), encoding="utf-8")
+        code, payload = run_json(
+            capsys,
+            ["detect-local", "--in", str(p), "--dtilde", "1", "--eps", "1/2"],
+        )
+        assert code == 0
+        assert payload["check"]["pass"] is True
+
     def test_exact_brute(self, capsys, k5_file):
         code, payload = run_json(capsys, ["exact", "--in", k5_file, "--brute"])
         assert code == 0

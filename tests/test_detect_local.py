@@ -2,12 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from densub import detect_local
 from densub.detect_local import (
+    _ball_optimum,
     detection_radius,
     local_detect,
     local_detect_directed,
 )
+from densub.engine import RoundTrace, msg_bits
 from densub.graphs import (
     DirectedGraph,
     Graph,
@@ -16,6 +21,7 @@ from densub.graphs import (
     cycle,
     density,
     erdos_renyi,
+    path,
     planted_dense,
 )
 from densub.oracle import exact_densest
@@ -176,20 +182,6 @@ MIXED = DirectedGraph(
 )
 
 
-def counting_bfs(monkeypatch, counts=None):
-    calls = []
-    counts = [] if counts is None else counts
-    original = Graph.bfs
-
-    def counted(self, src, radius=None, count=True):
-        calls.append(radius)
-        counts.append((radius, count))
-        return original(self, src, radius, count)
-
-    monkeypatch.setattr(Graph, "bfs", counted)
-    return calls
-
-
 class TestPinnedTraces:
     """Outputs and charged costs are fixed; a refactor must keep them."""
 
@@ -214,30 +206,19 @@ class TestPinnedTraces:
             trace.rounds_executed, trace.max_message_bits, trace.total_bits
         ) == (322, 76, 252_590)
 
-    @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_at_most_two_bfs_per_vertex(self, monkeypatch, name):
-        # one BFS to r gathers the ball, one to 2r feeds both the gossip
-        # charge and the election; the winner broadcast reuses the ball
-        g, dtilde, eps = PINNED[name][:3]
-        calls = counting_bfs(monkeypatch)
-        out, _ = local_detect(g, dtilde, eps)
-        assert g.n <= len(calls) <= 2 * g.n
-        assert set(calls) <= {out.radius, 2 * out.radius}
+    def test_no_per_vertex_bfs(self, monkeypatch):
+        # the ball, the gossip charge and the election come from
+        # all-sources bitset sweeps, one per component
+        def no_bfs(self, src, radius=None):
+            raise AssertionError("per-source BFS called")
 
-    def test_only_the_ball_bfs_counts_edges(self, monkeypatch):
-        # the 2r BFS feeds the gossip charge and the election, neither of
-        # which reads the per-level edge counts
-        g, dtilde, eps = PINNED["planted30"][:3]
-        counts = []
-        counting_bfs(monkeypatch, counts)
-        out, _ = local_detect(g, dtilde, eps)
-        assert set(counts) == {(out.radius, True), (2 * out.radius, False)}
-
-    def test_directed_at_most_two_bfs_per_vertex(self, monkeypatch):
-        calls = counting_bfs(monkeypatch)
+        monkeypatch.setattr(Graph, "distances_from", no_bfs)
+        monkeypatch.setattr(Graph, "bfs", no_bfs)
+        for g, dtilde, eps, marked, black, _ in PINNED.values():
+            out, _ = local_detect(g, dtilde, eps)
+            assert (out.marked.ids(), out.black) == (marked, black)
         out, _ = local_detect_directed(MIXED, Fraction(1), Fraction(1, 3))
-        assert MIXED.n <= len(calls) <= 2 * MIXED.n
-        assert set(calls) <= {out.radius, 2 * out.radius}
+        assert out.black == (0, 5)
 
 
 class TestRadius:
@@ -247,3 +228,93 @@ class TestRadius:
         assert detection_radius(20, Fraction(1, 5)) == 2 * math.ceil(
             30 * math.log(20)
         )
+
+
+def _within(g, src, radius):
+    """{u: dist(src, u)} for every u within `radius`, by a plain BFS."""
+    dist, frontier = {src: 0}, [src]
+    for d in range(1, radius + 1):
+        nxt = []
+        for v in frontier:
+            for u in g.neighbors(v):
+                if u not in dist:
+                    dist[u] = d
+                    nxt.append(u)
+        frontier = nxt
+    return dist
+
+
+def reference_local_detect(g, dtilde, eps, r):
+    """The LOCAL protocol at radius r with two plain BFS per vertex.
+
+    A BFS to r gives the ball and its gossip charge: round k sends v's id
+    and every edge with an endpoint within k-1. A BFS to 2r gives the
+    (id, flag) gossip charge, a vertex at distance d < 2r riding in 2r-d
+    messages, and the election: black is active with no smaller active id
+    within 2r. Returns (marked ids, black, trace json).
+    """
+    w = msg_bits(g.n - 1)
+    trace = RoundTrace(rounds_executed=r + 1)
+    balls, best = [], []
+    for v in range(g.n):
+        dist = _within(g, v, r)
+        ball = tuple(e for e in g.edges if set(e) <= set(dist))
+        balls.append(ball)
+        best.append(_ball_optimum(tuple(sorted(dist)), ball))
+        near = [min(dist.get(a, r + 1), dist.get(b, r + 1)) for a, b in g.edges]
+        for k in range(1, r + 2) if g.degree(v) else ():
+            bits = 4 + w + 2 * w * sum(1 for d in near if d <= k - 1)
+            trace.charge(bits, g.degree(v))
+    active = [value >= (1 - eps) * dtilde for _, value in best]
+    reach, black = 2 * r, []
+    for v in range(g.n):
+        dist = _within(g, v, reach)
+        heard = [reach - d for d in dist.values() if d < reach]
+        if g.degree(v):
+            trace.total_bits += g.degree(v) * (4 * reach + (w + 1) * sum(heard))
+            trace.charge(4 + len(heard) * (w + 1), 0)
+        if active[v] and not any(active[u] and u < v for u in dist):
+            black.append(v)
+    trace.rounds_executed += reach
+    for v in black:
+        trace.charge(4 + len(best[v][0][0]) * w, 2 * len(balls[v]) * (r + 1))
+    trace.rounds_executed += r + 1
+    marked = sorted(set().union(*(best[v][0][0] for v in black)))
+    return tuple(marked), tuple(black), trace.to_json()
+
+
+@st.composite
+def components_and_radius(draw):
+    """Disjoint paths, cycles, small random graphs and isolated vertices,
+    with a radius from 1 to n+1, mostly below the longest diameter."""
+    parts = draw(st.lists(st.one_of(
+        st.integers(1, 9).map(path),
+        st.integers(3, 9).map(cycle),
+        st.integers(2, 6).flatmap(lambda k: st.lists(
+            st.sampled_from([(a, b) for a in range(k) for b in range(a + 1, k)]),
+            unique=True,
+        ).map(lambda edges, k=k: Graph(k, edges))),
+    ), min_size=1, max_size=4))
+    edges, n = [], 0
+    for part in parts:
+        edges += [(a + n, b + n) for a, b in part.edges]
+        n += part.n
+    g = Graph(n, edges)
+    return g, draw(st.integers(1, n + 1))
+
+
+class TestBelowDiameter:
+    @given(
+        components_and_radius(),
+        st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(5, 4), Fraction(2)]),
+        st.sampled_from([Fraction(1, 5), Fraction(1, 2)]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_two_bfs_reference(self, case, scale, eps):
+        g, r = case
+        dtilde = scale * exact_densest(g).value
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect_local, "detection_radius", lambda n, e: r)
+            out, trace = local_detect(g, dtilde, eps)
+        got = (out.marked.ids(), out.black, trace.to_json())
+        assert got == reference_local_detect(g, dtilde, eps, r)

@@ -108,11 +108,22 @@ class TestPortsAndBfs:
     @given(small_graphs(), st.integers(0, 13), st.integers(0, 11))
     @settings(max_examples=300, deadline=None)
     def test_bfs_without_counts_matches(self, g, radius, src):
+        # order and dist against a plain level-by-level search
         src %= g.n
         for r in (radius, None):
-            order, dist, near = g.bfs(src, r)
-            assert g.bfs(src, r, count=False) == (order, dist, [])
-            assert len(near) == max(dist) + 1
+            dist = [-1] * g.n
+            dist[src] = 0
+            order, level = [src], [src]
+            while level and (r is None or dist[level[0]] < r):
+                nxt = []
+                for v in level:
+                    for u in g.neighbors(v):
+                        if dist[u] < 0:
+                            dist[u] = dist[v] + 1
+                            nxt.append(u)
+                order += nxt
+                level = nxt
+            assert g.bfs(src, r) == (order, dist)
 
 
 class TestDensity:
