@@ -262,9 +262,10 @@ def reference_local_detect(g, dtilde, eps, r):
         balls.append(ball)
         best.append(_ball_optimum(tuple(sorted(dist)), ball))
         near = [min(dist.get(a, r + 1), dist.get(b, r + 1)) for a, b in g.edges]
-        for k in range(1, r + 2) if g.degree(v) else ():
-            bits = 4 + w + 2 * w * sum(1 for d in near if d <= k - 1)
-            trace.charge(bits, g.degree(v))
+        if g.degree(v):
+            for k in range(1, r + 2):
+                bits = 4 + w + 2 * w * sum(1 for d in near if d <= k - 1)
+                trace.charge(bits, g.degree(v))
     active = [value >= (1 - eps) * dtilde for _, value in best]
     reach, black = 2 * r, []
     for v in range(g.n):
