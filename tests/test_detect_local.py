@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densub import detect_local
+from densub import detect_local, engine
 from densub.detect_local import (
     _ball_optimum,
     detection_radius,
@@ -182,6 +182,29 @@ MIXED = DirectedGraph(
 )
 
 
+def counting_sweeps(monkeypatch):
+    """Make per-source BFS raise and record every all-sources sweep.
+
+    Returns the list the sweeps append to: (levels, whether the starting
+    rows carry edge bits), the latter None for a component with no edge.
+    """
+    def no_bfs(self, src, radius=None):
+        raise AssertionError("per-source BFS called")
+
+    monkeypatch.setattr(Graph, "distances_from", no_bfs)
+    monkeypatch.setattr(Graph, "bfs", no_bfs)
+    calls, sweep = [], engine._sweep
+
+    def recorded(nbrs, rows, levels):
+        edges = max(rows).bit_length() > len(nbrs) if any(nbrs) else None
+        calls.append((levels, edges))
+        return sweep(nbrs, rows, levels)
+
+    monkeypatch.setattr(engine, "_sweep", recorded)
+    monkeypatch.setattr(detect_local, "_sweep", recorded)
+    return calls
+
+
 class TestPinnedTraces:
     """Outputs and charged costs are fixed; a refactor must keep them."""
 
@@ -206,19 +229,34 @@ class TestPinnedTraces:
             trace.rounds_executed, trace.max_message_bits, trace.total_bits
         ) == (322, 76, 252_590)
 
-    def test_no_per_vertex_bfs(self, monkeypatch):
-        # the ball, the gossip charge and the election come from
-        # all-sources bitset sweeps, one per component
-        def no_bfs(self, src, radius=None):
-            raise AssertionError("per-source BFS called")
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_at_most_two_bfs_per_vertex(self, monkeypatch, name):
+        # no per-source BFS at all: one all-sources sweep per component to
+        # r gathers the balls, one to 2r feeds the gossip charge and the
+        # election; the winner broadcast reuses the balls
+        g, dtilde, eps, marked, black, _ = PINNED[name]
+        calls = counting_sweeps(monkeypatch)
+        out, _ = local_detect(g, dtilde, eps)
+        assert (out.marked.ids(), out.black) == (marked, black)
+        assert len(calls) == 2 * len(g.components()) <= 2 * g.n
+        assert {levels for levels, _ in calls} <= {out.radius + 1, 2 * out.radius}
 
-        monkeypatch.setattr(Graph, "distances_from", no_bfs)
-        monkeypatch.setattr(Graph, "bfs", no_bfs)
-        for g, dtilde, eps, marked, black, _ in PINNED.values():
-            out, _ = local_detect(g, dtilde, eps)
-            assert (out.marked.ids(), out.black) == (marked, black)
+    def test_only_the_ball_bfs_counts_edges(self, monkeypatch):
+        # only the ball sweep's rows carry edge bits; the 2r sweep feeds
+        # the gossip charge and the election, which read vertices only
+        g, dtilde, eps = PINNED["planted30"][:3]
+        calls = counting_sweeps(monkeypatch)
+        out, _ = local_detect(g, dtilde, eps)
+        assert {c for c in calls if c[1] is not None} == {
+            (out.radius + 1, True), (2 * out.radius, False)
+        }
+
+    def test_directed_at_most_two_bfs_per_vertex(self, monkeypatch):
+        calls = counting_sweeps(monkeypatch)
         out, _ = local_detect_directed(MIXED, Fraction(1), Fraction(1, 3))
         assert out.black == (0, 5)
+        assert len(calls) == 2 * len(MIXED.underlying().components())
+        assert {levels for levels, _ in calls} <= {out.radius + 1, 2 * out.radius}
 
 
 class TestRadius:
