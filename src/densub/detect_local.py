@@ -9,10 +9,6 @@ than 2r apart, so their stamped subgraphs are disjoint and the union keeps
 the density bound. The radius 2 * ceil((6/eps) ln n) is exactly twice the
 clustering budget of the eps/2 decomposition, which is what guarantees a
 dense subgraph of that diameter exists whenever dtilde <= D.
-
-The directed variant tags each vertex with the black vertex whose local
-(S, T) pair it belongs to; tags are the black vertex id plus one, so 0
-always means untagged.
 """
 
 from __future__ import annotations
@@ -24,16 +20,10 @@ from operator import or_
 
 from .decompose import shift_budget
 from .engine import RoundTrace, _local_nbrs, _sweep, collect_ball, msg_bits
-from .graphs import DirectedGraph, Graph, Subset, density, format_ratio
+from .graphs import Graph, Subset, density, format_ratio
 from . import oracle
 
-__all__ = [
-    "DetectionOutput",
-    "DirectedDetectionOutput",
-    "detection_radius",
-    "local_detect",
-    "local_detect_directed",
-]
+__all__ = ["DetectionOutput", "detection_radius", "local_detect"]
 
 
 @dataclass(frozen=True)
@@ -54,14 +44,6 @@ class DetectionOutput:
         }
 
 
-@dataclass(frozen=True)
-class DirectedDetectionOutput:
-    s_tag: tuple[int, ...]  # black id + 1, 0 = untagged
-    t_tag: tuple[int, ...]
-    black: tuple[int, ...]
-    radius: int
-
-
 def detection_radius(n: int, eps: Fraction) -> int:
     """Twice the eps/2 clustering budget: r = 2 * ceil((6/eps) * ln n)."""
     return 2 * shift_budget(n, Fraction(eps) / 2)
@@ -77,20 +59,20 @@ def _ball_optimum(verts, edges):
     pos = {v: i for i, v in enumerate(verts)}
     sub = Graph(len(verts), [(pos[a], pos[b]) for a, b in edges])
     res = oracle.exact_densest(sub)
-    return (frozenset(verts[i] for i in res.best_subset.ids()),), res.value
+    return frozenset(verts[i] for i in res.best_subset.ids()), res.value
 
 
-def _protocol(g: Graph, dtilde, eps, solve, is_active):
-    """The LOCAL protocol both variants run on the (underlying) graph `g`.
+def local_detect(
+    g: Graph, dtilde: Fraction, eps: Fraction
+) -> tuple[DetectionOutput, RoundTrace]:
+    """Mark a vertex set of density at least (1-eps)*dtilde, LOCAL model.
 
-    solve(verts, edges) maps a ball to (stamp sets, value); equal balls are
-    solved once. is_active(solution, (1-eps)*dtilde) flags a vertex. Charged
-    phases: (r+1)-round ball gathering, 2r rounds of (id, flag) gossip (after
-    k rounds a vertex has heard of everything within distance k, one entry
+    The marked set is empty only when no radius-r ball holds a subgraph
+    that dense, which cannot happen for dtilde <= D. Charged phases:
+    (r+1)-round ball gathering, 2r rounds of (id, flag) gossip (after k
+    rounds a vertex has heard of everything within distance k, one entry
     each), and the winners' stamps flooding r hops, every arc of a black
     vertex's ball relaying the stamp once per round for r+1 rounds.
-
-    Returns (r, per-vertex solutions, black vertices, trace).
     """
     dtilde, eps = Fraction(dtilde), Fraction(eps)
     if not (0 < eps < 1):
@@ -100,9 +82,10 @@ def _protocol(g: Graph, dtilde, eps, solve, is_active):
     r = detection_radius(g.n, eps)
     balls, trace = collect_ball(g, r)
     threshold = (1 - eps) * dtilde
-    solved = {vs: solve(vs, es) for vs, es in dict(balls).items()}
+    # equal balls are solved once
+    solved = {vs: _ball_optimum(vs, es) for vs, es in dict(balls).items()}
     best = [solved[verts] for verts, _ in balls]
-    active = [is_active(sol, threshold) for sol in best]
+    active = [value >= threshold for _, value in best]
     # one all-sources sweep to 2r per component feeds the gossip charge and
     # the election: black means active with no smaller active id within 2r
     reach, w, black = 2 * r, msg_bits(g.n - 1) + 1, []
@@ -129,63 +112,7 @@ def _protocol(g: Graph, dtilde, eps, solve, is_active):
     trace.rounds_executed += reach
     w = msg_bits(g.n - 1)
     for v in black:
-        payload = 4 + sum(len(s) for s in best[v][0]) * w
-        trace.charge(payload, 2 * len(balls[v][1]) * (r + 1))
+        trace.charge(4 + len(best[v][0]) * w, 2 * len(balls[v][1]) * (r + 1))
     trace.rounds_executed += r + 1
-    return r, best, black, trace
-
-
-def local_detect(
-    g: Graph, dtilde: Fraction, eps: Fraction
-) -> tuple[DetectionOutput, RoundTrace]:
-    """Mark a vertex set of density at least (1-eps)*dtilde, LOCAL model.
-
-    The marked set is empty only when no radius-r ball holds a subgraph
-    that dense, which cannot happen for dtilde <= D. Rounds charged:
-    (r+1) ball gathering + 2r active-flag gossip + (r+1) winner broadcast.
-    """
-    r, best, black, trace = _protocol(
-        g, dtilde, eps, _ball_optimum, lambda sol, thr: sol[1] >= thr
-    )
-    marked = Subset(g.n, set().union(*(best[v][0][0] for v in black)))
-    out = DetectionOutput(marked, tuple(black), r)
-    return out, trace
-
-
-def local_detect_directed(
-    dg: DirectedGraph, dtilde: Fraction, eps: Fraction
-) -> tuple[DirectedDetectionOutput, RoundTrace]:
-    """Directed variant: per-vertex (s, t) tags naming local dense pairs.
-
-    Balls are collected over the underlying undirected graph; each black
-    vertex tags the members of its locally optimal (S, T) pair, whose value
-    is the squared density. Pairs of distinct black vertices never merge:
-    far-apart dense pairs would lose density if unioned, so the output stays
-    local by design.
-    """
-
-    def solve(verts, _edges):
-        if len(verts) > oracle.BRUTE_DIRECTED_CAP:
-            raise ValueError(
-                f"ball of {len(verts)} vertices is too large for the exact "
-                f"directed oracle (cap {oracle.BRUTE_DIRECTED_CAP})"
-            )
-        pos = {v: i for i, v in enumerate(verts)}
-        arcs = [(pos[a], pos[b]) for a, b in dg.arcs if a in pos and b in pos]
-        res = oracle.brute_directed_densest(DirectedGraph(len(verts), arcs))
-        pair = tuple(frozenset(verts[i] for i in x.ids()) for x in res.best_subset)
-        return pair, res.value
-
-    r, best, black, trace = _protocol(
-        dg.underlying(), dtilde, eps, solve, lambda sol, thr: sol[1] >= thr * thr
-    )
-    s_tag = [0] * dg.n
-    t_tag = [0] * dg.n
-    for v in black:
-        s_set, t_set = best[v][0]
-        for u in s_set:
-            s_tag[u] = v + 1
-        for u in t_set:
-            t_tag[u] = v + 1
-    out = DirectedDetectionOutput(tuple(s_tag), tuple(t_tag), tuple(black), r)
-    return out, trace
+    marked = Subset(g.n, set().union(*(best[v][0] for v in black)))
+    return DetectionOutput(marked, tuple(black), r), trace

@@ -264,8 +264,8 @@ class Graph:
 class DirectedGraph:
     """Immutable simple directed graph: no self-loops, no parallel arcs.
 
-    Opposite arcs (u, v) and (v, u) may coexist. Messages travel both ways
-    along an arc, so locality is measured on the underlying undirected graph.
+    Opposite arcs (u, v) and (v, u) may coexist. It is the input of the
+    exhaustive directed oracle behind `exact --brute`.
     """
 
     __slots__ = ("n", "arcs")
@@ -277,11 +277,6 @@ class DirectedGraph:
     @property
     def m(self) -> int:
         return len(self.arcs)
-
-    def underlying(self) -> Graph:
-        """Undirected graph ignoring arc directions (opposite arcs merge)."""
-        und = {(u, v) if u < v else (v, u) for u, v in self.arcs}
-        return Graph(self.n, sorted(und))
 
     def __eq__(self, other) -> bool:
         return (

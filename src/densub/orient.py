@@ -390,6 +390,7 @@ def orient_low_outdegree_detailed(
     # ceil(alpha * 2^t) in the dual's slots: a[2e + s] is side s of edge e,
     # side 0 the smaller endpoint
     a = [-(-x * scale // sol.den) for x in sol.shares]
+    del sol  # only the snapped slots are read from here on
     records: list[IterationRecord] = []
     bound = (1 + eps1) * (1 + eps2) * dtilde
     if t > 0:

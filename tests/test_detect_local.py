@@ -6,15 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densub import detect_local, engine
-from densub.detect_local import (
-    _ball_optimum,
-    detection_radius,
-    local_detect,
-    local_detect_directed,
-)
+from densub.detect_local import _ball_optimum, detection_radius, local_detect
 from densub.engine import RoundTrace, msg_bits
 from densub.graphs import (
-    DirectedGraph,
     Graph,
     Subset,
     barbell,
@@ -25,14 +19,6 @@ from densub.graphs import (
     planted_dense,
 )
 from densub.oracle import exact_densest
-
-
-def pair_of(out, black_vertex):
-    """The (S, T) vertex tuples that black_vertex tagged."""
-    tag = black_vertex + 1
-    s = tuple(i for i, x in enumerate(out.s_tag) if x == tag)
-    t = tuple(i for i, x in enumerate(out.t_tag) if x == tag)
-    return s, t
 
 
 def spaced_clique_pair():
@@ -115,48 +101,6 @@ class TestLocalDetect:
                     assert dists[a][b] < 0 or dists[a][b] > 2 * out.radius
 
 
-class TestLocalDetectDirected:
-    def _two_far_gadgets(self, x):
-        # out-star and in-star with the same peak density sqrt(x), in
-        # separate components (distance above any radius)
-        n = 2 * (x + 1)
-        arcs = [(0, i) for i in range(1, x + 1)]
-        base = x + 1
-        arcs += [(base + i, base) for i in range(1, x + 1)]
-        return DirectedGraph(n, arcs)
-
-    def test_two_instances_stay_separate(self):
-        dg = self._two_far_gadgets(9)
-        out, _ = local_detect_directed(dg, Fraction(3), Fraction(1, 10))
-        assert len(out.black) == 2
-        tags = {t for t in out.s_tag if t} | {t for t in out.t_tag if t}
-        assert len(tags) == 2
-        thr = (1 - Fraction(1, 10)) * 3
-        for b in out.black:
-            s, t = pair_of(out, b)
-            assert s and t
-            arcs = sum(1 for u, v in dg.arcs if u in s and v in t)
-            assert Fraction(arcs * arcs, len(s) * len(t)) >= thr * thr
-
-    def test_single_arc(self):
-        dg = DirectedGraph(2, [(0, 1)])
-        out, _ = local_detect_directed(dg, Fraction(1), Fraction(1, 2))
-        assert out.black == (0,) or out.black == (1,)
-        s, t = pair_of(out, out.black[0])
-        assert s == (0,) and t == (1,)
-
-    def test_empty_arcs_all_zero(self):
-        dg = DirectedGraph(4, [])
-        out, _ = local_detect_directed(dg, Fraction(1), Fraction(1, 2))
-        assert out.s_tag == (0, 0, 0, 0)
-        assert out.t_tag == (0, 0, 0, 0)
-
-    def test_ball_too_large(self):
-        dg = DirectedGraph(14, [(i, (i + 1) % 14) for i in range(14)])
-        with pytest.raises(ValueError, match="too large"):
-            local_detect_directed(dg, Fraction(1), Fraction(1, 2))
-
-
 # (graph, dtilde, eps, marked, black, (rounds, max_message_bits, total_bits))
 PINNED = {
     "cycle20": (
@@ -176,10 +120,6 @@ PINNED = {
         (0, 1, 2), (0,), (178, 60, 39_924),
     ),
 }
-
-MIXED = DirectedGraph(
-    9, [(0, 1), (0, 2), (0, 3), (4, 3), (5, 6), (6, 7), (7, 5), (8, 7)]
-)
 
 
 def counting_sweeps(monkeypatch):
@@ -219,16 +159,6 @@ class TestPinnedTraces:
         ) == cost
         assert trace.violations == []
 
-    def test_local_detect_directed(self):
-        out, trace = local_detect_directed(MIXED, Fraction(1), Fraction(1, 3))
-        assert out.black == (0, 5)
-        assert out.s_tag == (1, 0, 0, 0, 0, 0, 6, 0, 6)
-        assert out.t_tag == (0, 1, 1, 1, 0, 0, 0, 6, 0)
-        assert out.radius == 80
-        assert (
-            trace.rounds_executed, trace.max_message_bits, trace.total_bits
-        ) == (322, 76, 252_590)
-
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_at_most_two_bfs_per_vertex(self, monkeypatch, name):
         # no per-source BFS at all: one all-sources sweep per component to
@@ -250,13 +180,6 @@ class TestPinnedTraces:
         assert {c for c in calls if c[1] is not None} == {
             (out.radius + 1, True), (2 * out.radius, False)
         }
-
-    def test_directed_at_most_two_bfs_per_vertex(self, monkeypatch):
-        calls = counting_sweeps(monkeypatch)
-        out, _ = local_detect_directed(MIXED, Fraction(1), Fraction(1, 3))
-        assert out.black == (0, 5)
-        assert len(calls) == 2 * len(MIXED.underlying().components())
-        assert {levels for levels, _ in calls} <= {out.radius + 1, 2 * out.radius}
 
 
 class TestRadius:
@@ -316,9 +239,9 @@ def reference_local_detect(g, dtilde, eps, r):
             black.append(v)
     trace.rounds_executed += reach
     for v in black:
-        trace.charge(4 + len(best[v][0][0]) * w, 2 * len(balls[v]) * (r + 1))
+        trace.charge(4 + len(best[v][0]) * w, 2 * len(balls[v]) * (r + 1))
     trace.rounds_executed += r + 1
-    marked = sorted(set().union(*(best[v][0][0] for v in black)))
+    marked = sorted(set().union(*(best[v][0] for v in black)))
     return tuple(marked), tuple(black), trace.to_json()
 
 
