@@ -16,7 +16,6 @@ from .engine import (
     run,
 )
 from .graphs import (
-    DirectedGraph,
     Graph,
     Orientation,
     Subset,
@@ -35,7 +34,6 @@ from .mwu import (
 from .oracle import (
     OracleResult,
     brute_densest,
-    brute_directed_densest,
     exact_densest,
 )
 from .orient import (

@@ -15,7 +15,6 @@ from typing import Iterable
 
 __all__ = [
     "Graph",
-    "DirectedGraph",
     "Subset",
     "Orientation",
     "EdgeListError",
@@ -119,40 +118,33 @@ def is_neg_pow2(q: Fraction) -> bool:
     return q.numerator == 1 and den > 1 and (den & (den - 1)) == 0
 
 
-def _checked_pairs(
-    n: int, pairs: Iterable[tuple[int, int]], kind: str
-) -> tuple[tuple[int, int], ...]:
-    """The pairs sorted, each edge as (min, max); raises ValueError on a
-    negative n, a self-loop, an endpoint out of range or a repeat."""
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    canon = []
-    for u, v in pairs:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"{kind} ({u}, {v}) out of range for n={n}")
-        canon.append((v, u) if kind == "edge" and v < u else (u, v))
-    canon.sort()
-    for i in range(1, len(canon)):
-        if canon[i] == canon[i - 1]:
-            raise ValueError(f"duplicate {kind} {canon[i]}")
-    return tuple(canon)
-
-
 class Graph:
     """Immutable simple undirected graph with dense vertex/edge ids.
 
     Vertices are 0..n-1. Edges are stored canonically as (min, max) pairs in
     lexicographic order; the edge id of a pair is its index in that order.
-    Degree-0 vertices are allowed.
+    Degree-0 vertices are allowed. Raises ValueError on a negative n, a
+    self-loop, an endpoint out of range or a repeated edge.
     """
 
     __slots__ = ("n", "edges", "adj", "_nbrs", "_ports")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        canon = []
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            canon.append((v, u) if v < u else (u, v))
+        canon.sort()
+        for i in range(1, len(canon)):
+            if canon[i] == canon[i - 1]:
+                raise ValueError(f"duplicate edge {canon[i]}")
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = _checked_pairs(n, edges, "edge")
+        self.edges: tuple[tuple[int, int], ...] = tuple(canon)
         adj: list[list[int]] = [[] for _ in range(n)]
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(self.edges):
@@ -259,37 +251,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-class DirectedGraph:
-    """Immutable simple directed graph: no self-loops, no parallel arcs.
-
-    Opposite arcs (u, v) and (v, u) may coexist. It is the input of the
-    exhaustive directed oracle behind `exact --brute`.
-    """
-
-    __slots__ = ("n", "arcs")
-
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
-        self.n = n
-        self.arcs: tuple[tuple[int, int], ...] = _checked_pairs(n, arcs, "arc")
-
-    @property
-    def m(self) -> int:
-        return len(self.arcs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DirectedGraph)
-            and self.n == other.n
-            and self.arcs == other.arcs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
-
-    def __repr__(self) -> str:
-        return f"DirectedGraph(n={self.n}, m={self.m})"
 
 
 class Subset:
@@ -505,22 +466,21 @@ class EdgeListError(ValueError):
         self.line = line
 
 
-def read_edge_list(text: str) -> Graph | DirectedGraph:
-    """Parse the edge-list format: header "n m" or "n m directed", then one
-    "u v" pair per line."""
+def read_edge_list(text: str) -> Graph:
+    """Parse the edge-list format: header "n m", then one "u v" pair per
+    line."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise EdgeListError("missing header", 1)
     head = lines[0].split()
-    directed = False
-    if len(head) == 3 and head[2] == "directed":
-        directed = True
-    elif len(head) != 2:
-        raise EdgeListError("header must be 'n m' or 'n m directed'", 1)
+    if len(head) != 2:
+        raise EdgeListError("header must be 'n m'", 1)
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise EdgeListError("header must contain integers", 1) from None
+    if n < 0:
+        raise EdgeListError("vertex count must be non-negative", 1)
     pairs = []
     seen = set()
     lineno = 1
@@ -539,7 +499,7 @@ def read_edge_list(text: str) -> Graph | DirectedGraph:
             raise EdgeListError("self-loop", lineno)
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListError("vertex id out of range", lineno)
-        key = (u, v) if directed else ((u, v) if u < v else (v, u))
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             raise EdgeListError("duplicate edge", lineno)
         seen.add(key)
@@ -548,15 +508,10 @@ def read_edge_list(text: str) -> Graph | DirectedGraph:
         raise EdgeListError(
             f"header promised {m} edges but found {len(pairs)}", lineno
         )
-    return DirectedGraph(n, pairs) if directed else Graph(n, pairs)
+    return Graph(n, pairs)
 
 
-def write_edge_list(g: Graph | DirectedGraph) -> str:
+def write_edge_list(g: Graph) -> str:
     """Serialize in canonical sorted order; LF endings, UTF-8 content."""
-    if isinstance(g, DirectedGraph):
-        head = f"{g.n} {g.m} directed"
-        body = [f"{u} {v}" for u, v in g.arcs]
-    else:
-        head = f"{g.n} {g.m}"
-        body = [f"{u} {v}" for u, v in g.edges]
-    return "\n".join([head] + body) + "\n"
+    body = [f"{u} {v}" for u, v in g.edges]
+    return "\n".join([f"{g.n} {g.m}"] + body) + "\n"

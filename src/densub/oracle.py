@@ -2,10 +2,9 @@
 
 Two independent routes to the maximum subgraph density: an exhaustive search
 over vertex subsets (small graphs) and Dinkelbach's iteration over
-Goldberg's min-cut test, whose answer carries a checked certificate. A
-brute-force directed densest-pair solver and the minimum achievable
-max-outdegree, with a witness orientation read off one integral max flow,
-round this out.
+Goldberg's min-cut test, whose answer carries a checked certificate. The
+minimum achievable max-outdegree, with a witness orientation read off one
+integral max flow, rounds this out.
 """
 
 from __future__ import annotations
@@ -15,26 +14,24 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import DirectedGraph, Graph, Orientation, Subset
+from .graphs import Graph, Orientation, Subset
 
 __all__ = [
     "OracleResult",
     "exact_densest",
     "brute_densest",
-    "brute_directed_densest",
     "min_max_outdegree",
     "witness_orientation",
 ]
 
 BRUTE_VERTEX_CAP = 20
-BRUTE_DIRECTED_CAP = 12
 
 
 @dataclass(frozen=True)
 class OracleResult:
     """Certified optimum: the witness attains `value` and nothing beats it."""
 
-    best_subset: object  # Subset, or (Subset, Subset) for directed pairs
+    best_subset: Subset
     value: Fraction
 
 
@@ -317,43 +314,6 @@ def brute_densest(g: Graph) -> OracleResult:
 
 def _mask_ids(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def brute_directed_densest(g: DirectedGraph) -> OracleResult:
-    """Exact maximum of |E(S,T)| / sqrt(|S||T|) over nonempty S, T (n <= 12).
-
-    For each T, the best S of each cardinality k consists of the k vertices
-    with the most arcs into T, so scanning prefix sums of the sorted arc
-    counts covers every (S, T) pair exactly. Comparisons use the squared
-    density; the result's `value` is the squared density.
-    """
-    if g.n > BRUTE_DIRECTED_CAP:
-        raise ValueError(f"brute_directed_densest refuses n > {BRUTE_DIRECTED_CAP}")
-    if g.n == 0:
-        raise ValueError("graph has no vertices")
-    out_mask = [0] * g.n
-    for u, v in g.arcs:
-        out_mask[u] |= 1 << v
-    best_sq = Fraction(0)
-    best_pair = (Subset(g.n, [0]), Subset(g.n, [0]))
-    for t_mask in range(1, 1 << g.n):
-        t_size = t_mask.bit_count()
-        weights = sorted(
-            (((out_mask[u] & t_mask).bit_count(), -u) for u in range(g.n)),
-            reverse=True,
-        )
-        prefix = 0
-        for k, (w, neg_u) in enumerate(weights, start=1):
-            prefix += w
-            sq = Fraction(prefix * prefix, k * t_size)
-            if sq > best_sq:
-                best_sq = sq
-                s_ids = sorted(-nu for _, nu in weights[:k])
-                best_pair = (
-                    Subset(g.n, s_ids),
-                    Subset(g.n, _mask_ids(t_mask)),
-                )
-    return OracleResult(best_pair, best_sq)
 
 
 def witness_orientation(g: Graph, alpha: int) -> Orientation | None:

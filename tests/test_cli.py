@@ -467,6 +467,7 @@ class TestCli:
         "argv",
         [
             ["exact"],
+            ["exact", "--brute"],
             ["detect-local", "--dtilde", "1", "--eps", "1/2"],
             ["detect-congest", "--dtilde", "1", "--eps", "1/8"],
             ["approx", "--eps", "1/8"],
@@ -477,23 +478,17 @@ class TestCli:
             ["weak-orient"],
             ["ldd", "--eps", "1/4"],
         ],
-        ids=lambda argv: argv[0],
+        ids=lambda argv: argv[0] + ("-brute" if "--brute" in argv else ""),
     )
     def test_directed_input_is_an_input_error(self, capsys, tmp_path, argv):
         p = tmp_path / "d.el"
         p.write_text("4 3 directed\n0 1\n1 2\n2 3\n", encoding="utf-8")
         code, payload = run_json(capsys, argv + ["--in", str(p)])
         assert code == 2
-        assert payload["error"] == "ValueError"
-        assert "'n m directed' header" in payload["message"]
-
-    def test_exact_brute_reads_directed(self, capsys, tmp_path):
-        p = tmp_path / "d.el"
-        p.write_text("3 2 directed\n0 1\n0 2\n", encoding="utf-8")
-        code, payload = run_json(capsys, ["exact", "--in", str(p), "--brute"])
-        assert code == 0
-        assert payload["result"]["D_squared"] == "2/1"
-        assert payload["graph"] == {"n": 3, "m": 2}
+        assert payload == {
+            "error": "EdgeListError",
+            "message": "header must be 'n m' at line 1",
+        }
 
     def test_header_error_is_an_edge_list_error(self, capsys, tmp_path):
         p = tmp_path / "bad.el"
@@ -514,14 +509,12 @@ class TestCli:
 
 
 # SHA-256 of each report minus wall_time_s and command, with sorted keys:
-# one case per command, both exact --brute readers and both primal branches.
+# one case per command, exact --brute and both primal branches.
 PINNED_REPORTS = [
     ("exact", "exact --in k5",
      "873a3784028ca1835f3b1e0a4d1326d475bd676bcdbe5825d4d9681dd5de01db"),
     ("exact-brute", "exact --in g16 --brute",
      "1199cac0ab08f698d6ece83d18c9ac7b8a5a282ac2a8c000017f49c6a882989a"),
-    ("exact-brute-directed", "exact --in d4 --brute",
-     "4bac3f08156315b5c237af2c3ef914d439e83e8ace025b17cb3a1e521a5339c8"),
     ("detect-local", "detect-local --in g16 --dtilde 3/2 --eps 1/5",
      "ddbdb84b4b58725ac24bb18d529afaab60cb927248e279cedab6d3b411c3a5e4"),
     ("detect-congest", "detect-congest --in g16 --dtilde 3/2 --eps 1/8 --seed 3",
@@ -551,7 +544,6 @@ def test_report_is_pinned(capsys, tmp_path, case, argv, digest):
     texts = {
         "k5": write_edge_list(complete(5)),
         "g16": write_edge_list(erdos_renyi(16, 0.3, seed=3)),
-        "d4": "4 4 directed\n0 1\n0 2\n1 2\n3 0\n",
     }
     argv = argv.split()
     name = argv[argv.index("--in") + 1]
@@ -569,10 +561,10 @@ def test_public_api_is_pinned():
     # a new export needs a caller outside tests/; growing this list is a
     # deliberate change, not a side effect
     assert sorted(densub.__all__) == [
-        "Clustering", "DetectionOutput", "DirectedGraph", "DualSolution",
-        "Graph", "OracleResult", "Orientation", "RoundTrace", "Subset",
+        "Clustering", "DetectionOutput", "DualSolution", "Graph",
+        "OracleResult", "Orientation", "RoundTrace", "Subset",
         "VertexProgram", "alpha_bit_width", "approx_densest", "brute_densest",
-        "brute_directed_densest", "collect_ball", "component_aggregate",
+        "collect_ball", "component_aggregate",
         "congest_detect", "density", "directed_split", "exact_densest",
         "fractional_dual", "generate", "integral_primal", "ldd_traced",
         "local_detect", "lowerbound_pair", "msg_bits",

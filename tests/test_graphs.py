@@ -16,7 +16,6 @@ from densub.engine import (
     run,
 )
 from densub.graphs import (
-    DirectedGraph,
     EdgeListError,
     Graph,
     Orientation,
@@ -39,7 +38,7 @@ from densub.graphs import (
     write_edge_list,
 )
 from densub.mwu import fractional_dual
-from densub.oracle import brute_densest, brute_directed_densest, exact_densest
+from densub.oracle import brute_densest, exact_densest
 from densub.orient import orient_low_outdegree_detailed, path_decompose, split_levels
 
 
@@ -251,9 +250,10 @@ class TestEdgeListIO:
         [
             ("", "missing header", 1),
             ("\n0 1\n", "missing header", 1),
-            ("3 2 x y", "header must be 'n m' or 'n m directed'", 1),
-            ("3 2 undirected", "header must be 'n m' or 'n m directed'", 1),
+            ("3 2 x y", "header must be 'n m'", 1),
+            ("3 2 undirected", "header must be 'n m'", 1),
             ("three 2", "header must contain integers", 1),
+            ("-1 0", "vertex count must be non-negative", 1),
             ("3 1\n0 1 2", "expected 'u v'", 2),
             ("3 1\n0 a", "ids must be integers", 2),
             ("3 2\n0 1", "header promised 2 edges but found 1", 2),
@@ -268,10 +268,6 @@ class TestEdgeListIO:
 
     def test_blank_lines_are_skipped(self):
         assert read_edge_list("3 2\n0 1\n\n1 2\n") == path(3)
-
-    def test_directed_round_trip(self):
-        g = DirectedGraph(4, [(0, 1), (1, 0), (2, 3)])
-        assert read_edge_list(write_edge_list(g)) == g
 
     def test_round_trip_100_random_graphs(self):
         for seed in range(100):
@@ -335,10 +331,9 @@ KINDS = ["barbell", "complete", "cycle", "erdos_renyi", "lowerbound_pair",
     "call, message",
     [
         (lambda: Graph(-1, []), "vertex count must be non-negative"),
-        (lambda: DirectedGraph(-1, []), "vertex count must be non-negative"),
-        (lambda: DirectedGraph(3, [(1, 1)]), "self-loop at vertex 1"),
-        (lambda: DirectedGraph(3, [(0, 3)]), "arc (0, 3) out of range for n=3"),
-        (lambda: DirectedGraph(3, [(0, 1), (0, 1)]), "duplicate arc (0, 1)"),
+        (lambda: Graph(3, [(1, 1)]), "self-loop at vertex 1"),
+        (lambda: Graph(3, [(0, 3)]), "edge (0, 3) out of range for n=3"),
+        (lambda: Graph(3, [(1, 0), (0, 1)]), "duplicate edge (0, 1)"),
         (lambda: Subset(3, [3]), "vertex 3 out of range for n=3"),
         (lambda: density(path(3), Subset(4, [0])),
          "subset does not belong to this graph"),
@@ -352,8 +347,6 @@ KINDS = ["barbell", "complete", "cycle", "erdos_renyi", "lowerbound_pair",
         (lambda: ceil_log2(0), "ceil_log2 requires a positive argument"),
         (lambda: exact_densest(Graph(0, [])), "graph has no vertices"),
         (lambda: brute_densest(Graph(0, [])), "graph has no vertices"),
-        (lambda: brute_directed_densest(DirectedGraph(0, [])),
-         "graph has no vertices"),
         (lambda: ldd_traced(path(3), 1, 0), EPS01),
         (lambda: approx_densest(path(3), Fraction(1, 4), 0),
          "eps must lie in (0, 1/4)"),
@@ -375,10 +368,10 @@ KINDS = ["barbell", "complete", "cycle", "erdos_renyi", "lowerbound_pair",
          "max_rounds must be >= 1"),
     ],
     ids=[
-        "graph-n", "digraph-n", "digraph-loop", "digraph-range", "digraph-dup",
+        "graph-n", "digraph-loop", "digraph-range", "digraph-dup",
         "subset-range", "density-foreign", "cycle", "path", "complete",
         "erdos_renyi", "planted_dense", "barbell", "generate", "ceil_log2",
-        "exact", "brute", "brute-directed", "ldd-eps", "approx-eps",
+        "exact", "brute", "ldd-eps", "approx-eps",
         "local-eps", "congest-dtilde", "local-dtilde", "dual-z",
         "path_decompose", "split_levels", "orient-dtilde", "knowledge_states",
         "collect_ball", "component_aggregate", "run-max_rounds",

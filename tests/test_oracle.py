@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from densub import oracle
 from densub.graphs import (
-    DirectedGraph,
     Graph,
     Orientation,
     Subset,
@@ -21,7 +20,6 @@ from densub.graphs import (
 )
 from densub.oracle import (
     brute_densest,
-    brute_directed_densest,
     exact_densest,
     min_max_outdegree,
     witness_orientation,
@@ -186,58 +184,6 @@ class TestExactDensest:
         assert len(seen) == 1
 
 
-class TestBruteDirectedDensest:
-    def _gadget(self, x):
-        n = 2 * x + 2
-        arcs = [(0, i) for i in range(1, x + 1)]
-        arcs += [(x + i, 2 * x + 1) for i in range(1, x + 1)]
-        return DirectedGraph(n, arcs)
-
-    def test_gadget_x4(self):
-        r = brute_directed_densest(self._gadget(4))
-        assert r.value == 4  # squared density; d = sqrt(4) = 2
-
-    def test_single_arc(self):
-        r = brute_directed_densest(DirectedGraph(2, [(0, 1)]))
-        assert r.value == 1
-        s, t = r.best_subset
-        assert s.ids() == (0,) and t.ids() == (1,)
-
-    def test_two_opposite_arcs(self):
-        r = brute_directed_densest(DirectedGraph(2, [(0, 1), (1, 0)]))
-        assert r.value == 1  # S = T = {u, v} gives 2/2
-
-    def test_refuses_large(self):
-        with pytest.raises(ValueError):
-            brute_directed_densest(DirectedGraph(13, []))
-
-    def test_matches_full_enumeration(self):
-        # independent check: literal scan over all (S, T) label assignments
-        rng = random.Random(3)
-        for trial in range(25):
-            n = rng.randint(2, 6)
-            arcs = [
-                (u, v)
-                for u in range(n)
-                for v in range(n)
-                if u != v and rng.random() < 0.4
-            ]
-            g = DirectedGraph(n, arcs)
-            best = Fraction(0)
-            for smask in range(1, 1 << n):
-                for tmask in range(1, 1 << n):
-                    cnt = sum(
-                        1
-                        for (u, v) in arcs
-                        if smask >> u & 1 and tmask >> v & 1
-                    )
-                    sq = Fraction(
-                        cnt * cnt, smask.bit_count() * tmask.bit_count()
-                    )
-                    best = max(best, sq)
-            assert brute_directed_densest(g).value == best
-
-
 class TestMinMaxOutdegree:
     def test_tree(self):
         g = path(7)
@@ -293,3 +239,21 @@ class TestMinMaxOutdegree:
             assert witness_orientation(g, alpha - 1) is None
         elapsed = time.perf_counter() - t0
         assert elapsed <= 2, f"scale witnesses took {elapsed:.2f}s > 2s"
+
+
+def test_oracles_agree_on_every_atlas_graph():
+    # exhaustive over all 1,252 graphs on 1 to 7 vertices (networkx's atlas,
+    # from Read & Wilson's "An Atlas of Graphs"), not a sample
+    nx = pytest.importorskip("networkx")
+    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes()]
+    assert len(atlas) == 1252
+    for h in atlas:
+        g = Graph(h.number_of_nodes(), h.edges())
+        r = exact_densest(g)
+        assert r.value == brute_densest(g).value
+        assert density(g, r.best_subset) == r.value
+        if g.m:
+            alpha, o = min_max_outdegree(g)
+            assert alpha == -((-r.value.numerator) // r.value.denominator)
+            assert o.edges == g.edges and o.max_outdeg() == alpha
+            assert witness_orientation(g, alpha - 1) is None
