@@ -9,7 +9,6 @@ check in the run passed.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -27,8 +26,8 @@ from .graphs import Graph, density, format_ratio, parse_ratio
 ORACLE_EDGE_LIMIT = 20000
 
 
-def _graph_stats(g: Graph, oracle_result) -> dict:
-    d = oracle_result().value if 1 <= g.m <= ORACLE_EDGE_LIMIT else None
+def _graph_stats(g: Graph) -> dict:
+    d = oracle.exact_densest(g).value if 1 <= g.m <= ORACLE_EDGE_LIMIT else None
     return {"n": g.n, "m": g.m, "max_degree": g.max_degree(),
             "oracle_density": None if d is None else format_ratio(d)}
 
@@ -91,26 +90,26 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# Every graph command below is a handler (args, g, oracle_result) ->
-# (result, check, trace); main reads g, times the call and writes the report.
-# oracle_result() is oracle.exact_densest(g), computed at most once per report.
+# Every graph command below is a handler (args, g) -> (result, check, trace);
+# main reads g, times the call and writes the report. oracle.exact_densest
+# keeps its result on g, so a report solves g at most once.
 
 
-def cmd_exact(args, g, oracle_result):
-    res = oracle.brute_densest(g) if args.brute else oracle_result()
+def cmd_exact(args, g):
+    res = oracle.brute_densest(g) if args.brute else oracle.exact_densest(g)
     result = {"D": format_ratio(res.value),
               "witness": list(res.best_subset.ids())}
     return result, None, None
 
 
-def cmd_detect_local(args, g, oracle_result):
+def cmd_detect_local(args, g):
     dtilde, eps = parse_ratio(args.dtilde), parse_ratio(args.eps)
     out, trace = dl.local_detect(g, dtilde, eps)
     result = out.to_json(g, trace.rounds_executed)
     return result, _marked_check(g, out.marked, dtilde, eps), trace
 
 
-def cmd_detect_congest(args, g, oracle_result):
+def cmd_detect_congest(args, g):
     dtilde, eps = parse_ratio(args.dtilde), parse_ratio(args.eps)
     sub, trace = dc.congest_detect(
         g, dtilde, eps, args.seed, trials_override=args.trials
@@ -125,7 +124,7 @@ def cmd_detect_congest(args, g, oracle_result):
     return result, check, trace
 
 
-def cmd_approx(args, g, oracle_result):
+def cmd_approx(args, g):
     eps = parse_ratio(args.eps)
     sub, dhat, trace = dc.approx_densest(g, eps, args.seed)
     result = {
@@ -136,23 +135,23 @@ def cmd_approx(args, g, oracle_result):
     }
     check = None
     if 1 <= g.m <= ORACLE_EDGE_LIMIT:
-        bound = (1 - eps) * oracle_result().value / (1 + eps)
+        bound = (1 - eps) * oracle.exact_densest(g).value / (1 + eps)
         check = _check(bound, dhat, dhat >= bound)
     return result, check, trace
 
 
-def cmd_dual(args, g, oracle_result):
+def cmd_dual(args, g):
     z, eps = parse_ratio(args.z), parse_ratio(args.eps)
     sol, trace = mwu.fractional_dual(g, z, eps, T_override=args.T)
     check = None
-    if 1 <= g.m <= ORACLE_EDGE_LIMIT and z >= oracle_result().value:
+    if 1 <= g.m <= ORACLE_EDGE_LIMIT and z >= oracle.exact_densest(g).value:
         check = _check(
             "feasible for DUAL((1+2eps)z) since z >= D", sol.feasible, sol.feasible
         )
     return sol.to_json(), check, trace
 
 
-def cmd_primal(args, g, oracle_result):
+def cmd_primal(args, g):
     z, eps = parse_ratio(args.z), parse_ratio(args.eps)
     sub, trace = mwu.integral_primal(g, z, eps, T_override=args.T)
     if sub is None:
@@ -171,7 +170,7 @@ def cmd_primal(args, g, oracle_result):
     return result, _check(bound, achieved, achieved >= bound), trace
 
 
-def cmd_orient(args, g, oracle_result):
+def cmd_orient(args, g):
     eps = parse_ratio(args.eps)
     rep = ort.orient_low_outdegree_detailed(
         g, args.dtilde, eps, T_override=args.T
@@ -188,7 +187,7 @@ def cmd_orient(args, g, oracle_result):
     return result, _check(bound, achieved, achieved <= bound), rep.trace
 
 
-def cmd_split(args, g, oracle_result):
+def cmd_split(args, g):
     eps = parse_ratio(args.eps)
     o, trace = ort.directed_split(g, eps)
     if args.orient_out:
@@ -202,7 +201,7 @@ def cmd_split(args, g, oracle_result):
     return {"max_discrepancy": max(gap, default=0)}, check, trace
 
 
-def cmd_weak_orient(args, g, oracle_result):
+def cmd_weak_orient(args, g):
     res = ort.weak_orientation(g)
     if args.orient_out:
         _write(args.orient_out, res.orientation.to_text())
@@ -213,13 +212,13 @@ def cmd_weak_orient(args, g, oracle_result):
     return result, _check("outdeg(v) >= floor(deg(v)/3)", ok, ok), res.charge
 
 
-def cmd_ldd(args, g, oracle_result):
+def cmd_ldd(args, g):
     eps = parse_ratio(args.eps)
     clustering, trace = ldd_traced(g, eps, args.seed)
     # every cluster is connected, with radius <= budget around its center:
     # a BFS over in-cluster edges reaches all its members within budget
     of = clustering.cluster_of
-    inner = Graph(g.n, [(u, v) for u, v in g.edges if of[u] == of[v]])
+    inner = Graph._canonical(g.n, [(u, v) for u, v in g.edges if of[u] == of[v]])
     ok = all(
         sorted(inner.bfs(c, clustering.budget)[0]) == members
         for c, members in clustering.clusters().items()
@@ -336,11 +335,10 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         with open(args.infile, "r", encoding="utf-8") as f:
             g = G.read_edge_list(f.read())
-        oracle_result = functools.cache(lambda: oracle.exact_densest(g))
-        result, check, trace = args.func(args, g, oracle_result)
+        result, check, trace = args.func(args, g)
         text = json.dumps({
             "command": " ".join(argv),
-            "graph": _graph_stats(g, oracle_result),
+            "graph": _graph_stats(g),
             "result": result,
             "check": check,
             "trace": None if trace is None else trace.to_json(),

@@ -49,15 +49,21 @@ def detection_radius(n: int, eps: Fraction) -> int:
     return 2 * shift_budget(n, Fraction(eps) / 2)
 
 
-def _ball_optimum(verts, edges):
-    """Exact densest subgraph inside one ball, in original vertex ids.
+def _ball_optimum(g: Graph, verts, edges):
+    """Exact densest subgraph inside one ball of g, in original vertex ids.
 
     Every ball goes through the certified min-cut oracle. Its witness is a
     deterministic function of the ball (with ties, the minimal min-cut side
-    of the last improving test), so equal balls stamp equal sets.
+    of the last improving test), so equal balls stamp equal sets. A ball
+    holding every vertex is g itself, and g keeps its solved result for
+    later callers; any other ball's sorted ids relabel its canonical edges
+    monotonically, so they stay canonical.
     """
-    pos = {v: i for i, v in enumerate(verts)}
-    sub = Graph(len(verts), [(pos[a], pos[b]) for a, b in edges])
+    if len(verts) == g.n:
+        sub = g
+    else:
+        pos = {v: i for i, v in enumerate(verts)}
+        sub = Graph._canonical(len(verts), [(pos[a], pos[b]) for a, b in edges])
     res = oracle.exact_densest(sub)
     return frozenset(verts[i] for i in res.best_subset.ids()), res.value
 
@@ -83,7 +89,7 @@ def local_detect(
     balls, trace = collect_ball(g, r)
     threshold = (1 - eps) * dtilde
     # equal balls are solved once
-    solved = {vs: _ball_optimum(vs, es) for vs, es in dict(balls).items()}
+    solved = {vs: _ball_optimum(g, vs, es) for vs, es in dict(balls).items()}
     best = [solved[verts] for verts, _ in balls]
     active = [value >= threshold for _, value in best]
     # one all-sources sweep to 2r per component feeds the gossip charge and

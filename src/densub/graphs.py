@@ -127,7 +127,7 @@ class Graph:
     self-loop, an endpoint out of range or a repeated edge.
     """
 
-    __slots__ = ("n", "edges", "adj", "_nbrs", "_ports")
+    __slots__ = ("n", "edges", "adj", "_nbrs", "_ports", "_densest")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -143,6 +143,18 @@ class Graph:
         for i in range(1, len(canon)):
             if canon[i] == canon[i - 1]:
                 raise ValueError(f"duplicate edge {canon[i]}")
+        self._fill(n, canon)
+
+    @classmethod
+    def _canonical(cls, n: int, edges) -> "Graph":
+        """A graph on edges that are already (min, max) pairs, sorted, in
+        range and free of repeats, such as a filtered or monotonically
+        relabelled copy of another graph's edges. Nothing is checked."""
+        g = cls.__new__(cls)
+        g._fill(n, edges)
+        return g
+
+    def _fill(self, n: int, canon) -> None:
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(canon)
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -156,6 +168,7 @@ class Graph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
         self._nbrs: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in nbrs)
         self._ports: tuple[tuple[int, ...], ...] | None = None
+        self._densest = None  # oracle.exact_densest's result, on first use
 
     @property
     def m(self) -> int:
@@ -233,7 +246,7 @@ class Graph:
         sub_edges = [
             (pos[u], pos[v]) for (u, v) in self.edges if u in pos and v in pos
         ]
-        return Graph(len(old_ids), sub_edges), old_ids
+        return Graph._canonical(len(old_ids), sub_edges), old_ids
 
     def induced_edge_count(self, members) -> int:
         mem = members if isinstance(members, (set, frozenset)) else set(members)
@@ -508,7 +521,8 @@ def read_edge_list(text: str) -> Graph:
         raise EdgeListError(
             f"header promised {m} edges but found {len(pairs)}", lineno
         )
-    return Graph(n, pairs)
+    pairs.sort()
+    return Graph._canonical(n, pairs)
 
 
 def write_edge_list(g: Graph) -> str:

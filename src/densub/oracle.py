@@ -80,7 +80,7 @@ class _Dinic:
             v = s
             while True:
                 if v == t:
-                    push = min(cap[i] for i in path)
+                    push = min(map(cap.__getitem__, path))
                     for i in path:
                         cap[i] -= push
                         cap[i ^ 1] += push
@@ -117,6 +117,11 @@ def _denser_than(g: Graph, guess: Fraction) -> tuple[set[int] | None, list[int]]
     every source arc and the result is (None, give): edge e = (u, v) hands v
     the share give[e] / (2b) of itself, that is b plus its flow toward v,
     and by flow conservation no vertex then carries more than guess.
+
+    The flow starts from the direct flow along every path s->v->t, and
+    Dinic's algorithm routes the rest. Every maximum flow leaves the same
+    set reachable from s in its residual graph, so S does not depend on the
+    start; give may, and the certificate check reads it either way.
     """
     n, m = g.n, g.m
     b = guess.denominator
@@ -128,7 +133,17 @@ def _denser_than(g: Graph, guess: Fraction) -> tuple[set[int] | None, list[int]]
         net.add_edge(v, snk, m * b + 2 * a - g.degree(v) * b)
     for u, v in g.edges:
         net.add_edge(u, v, b, b)
-    flow = net.max_flow(src, snk)
+    # v's source arc is arc 4v and its sink arc 4v + 2, each paired with
+    # the next arc
+    cap, direct = net.cap, 0
+    for i in range(0, 4 * n, 4):
+        push = min(cap[i], cap[i + 2])
+        cap[i] -= push
+        cap[i + 1] += push
+        cap[i + 2] -= push
+        cap[i + 3] += push
+        direct += push
+    flow = direct + net.max_flow(src, snk)
     if flow >= m * n * b:
         # edge e's arc u->v is arc 4n + 2e; its pair's residual is b + f(u->v)
         return None, net.cap[4 * n + 1 :: 2]
@@ -193,7 +208,7 @@ def _peel_lower_bound(
     heap = [(deg[v], v) for v in range(g.n)]
     heapq.heapify(heap)
     remaining_n, remaining_m = g.n, g.m
-    best = Fraction(remaining_m, remaining_n)
+    best_n, best_m = remaining_n, remaining_m
     best_step = 0
     order = []
     at = []
@@ -210,13 +225,12 @@ def _peel_lower_bound(
             if not removed[u]:
                 deg[u] -= 1
                 heapq.heappush(heap, (deg[u], u))
-        if remaining_n > 0:
-            d_now = Fraction(remaining_m, remaining_n)
-            if d_now > best:
-                best = d_now
-                best_step = len(order)
+        # a strictly denser suffix (never the empty one, 0 > 0 failing)
+        if remaining_m * best_n > best_m * remaining_n:
+            best_n, best_m = remaining_n, remaining_m
+            best_step = len(order)
     witness = set(range(g.n)) - set(order[:best_step])
-    return best, witness, order, at
+    return Fraction(best_m, best_n), witness, order, at
 
 
 def exact_densest(g: Graph) -> OracleResult:
@@ -236,7 +250,12 @@ def exact_densest(g: Graph) -> OracleResult:
     max flow on the core, from the peel order off the core (a stripped
     vertex takes its edges to vertices stripped later or kept), and from
     subtree sizes on forests.
+
+    The certified result is kept on `g` and returned by later calls: a
+    Graph is immutable, so it cannot go stale.
     """
+    if g._densest is not None:
+        return g._densest
     if g.n == 0:
         raise ValueError("graph has no vertices")
     comps = g.components()
@@ -276,7 +295,8 @@ def exact_densest(g: Graph) -> OracleResult:
             for u, v in g.edges
         ]
     _check_certificate(g, witness, lo, den, give)
-    return OracleResult(Subset(g.n, sorted(witness)), lo)
+    g._densest = OracleResult(Subset(g.n, sorted(witness)), lo)
+    return g._densest
 
 
 def brute_densest(g: Graph) -> OracleResult:

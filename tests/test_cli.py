@@ -59,14 +59,15 @@ def run_json(capsys, argv):
 
 class TestCli:
     def test_exact_k5(self, capsys, k5_file, monkeypatch):
+        # every solve ends in exactly one certificate check
         calls = []
-        real = oracle.exact_densest
+        real = oracle._check_certificate
 
-        def spy(g):
+        def spy(g, *rest):
             calls.append(g.n)
-            return real(g)
+            return real(g, *rest)
 
-        monkeypatch.setattr(oracle, "exact_densest", spy)
+        monkeypatch.setattr(oracle, "_check_certificate", spy)
         code, payload = run_json(capsys, ["exact", "--in", k5_file])
         assert code == 0
         assert payload["result"]["D"] == "2/1"
@@ -78,6 +79,8 @@ class TestCli:
         for argv in (
             ["approx", "--in", k5_file, "--eps", "1/8", "--seed", "1"],
             ["dual", "--in", k5_file, "--z", "2/1", "--eps", "1/8", "--T", "64"],
+            # the one ball is the whole graph: the report reads its solve
+            ["detect-local", "--in", k5_file, "--dtilde", "2", "--eps", "1/2"],
         ):
             calls.clear()
             code, payload = run_json(capsys, argv)

@@ -221,7 +221,7 @@ def reference_local_detect(g, dtilde, eps, r):
         dist = _within(g, v, r)
         ball = tuple(e for e in g.edges if set(e) <= set(dist))
         balls.append(ball)
-        best.append(_ball_optimum(tuple(sorted(dist)), ball))
+        best.append(_ball_optimum(g, tuple(sorted(dist)), ball))
         near = [min(dist.get(a, r + 1), dist.get(b, r + 1)) for a, b in g.edges]
         if g.degree(v):
             for k in range(1, r + 2):

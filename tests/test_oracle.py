@@ -69,6 +69,37 @@ def plain_core(g: Graph, lo: Fraction) -> set[int]:
         alive -= low
 
 
+def plain_flow_reach(g: Graph, guess: Fraction) -> set[int] | None:
+    """Goldberg's network at guess, solved by a plain Dinic from zero flow:
+    None if the flow saturates every source arc, else the residual reach
+    of the source."""
+    n, m, a, b = g.n, g.m, guess.numerator, guess.denominator
+    net = oracle._Dinic(n + 2)
+    for v in range(n):
+        net.add_edge(n, v, m * b)
+        net.add_edge(v, n + 1, m * b + 2 * a - g.degree(v) * b)
+    for u, v in g.edges:
+        net.add_edge(u, v, b, b)
+    if net.max_flow(n, n + 1) >= m * n * b:
+        return None
+    return {v for v in range(n) if net.level[v] >= 0}
+
+
+@given(cyclic_graphs())
+@settings(max_examples=100, deadline=None)
+def test_preflow_and_peel_match_their_references(g):
+    bound, witness, order, _ = oracle._peel_lower_bound(g)
+    # the best suffix of the peel order, the earliest of equals winning
+    suffixes = [
+        Fraction(g.induced_edge_count(order[i:]), g.n - i) for i in range(g.n)
+    ]
+    assert bound == max(suffixes)
+    assert witness == set(order[suffixes.index(bound):])
+    d = exact_densest(g).value
+    for guess in (bound, d, d - Fraction(1, g.n**2)):
+        assert oracle._denser_than(g, guess)[0] == plain_flow_reach(g, guess)
+
+
 class TestBruteDensest:
     def test_single_edge(self):
         r = brute_densest(Graph(2, [(0, 1)]))
