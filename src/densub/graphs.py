@@ -1,4 +1,4 @@
-"""Graph types, exact density arithmetic, instance generators, edge-list I/O.
+"""The graph type, exact density arithmetic, instance generators, edge-list I/O.
 
 All densities and thresholds are `fractions.Fraction`; no floats appear on
 any correctness path. Graphs are immutable after construction and safe to

@@ -10,7 +10,6 @@ integral max flow, rounds this out.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,75 +34,86 @@ class OracleResult:
     value: Fraction
 
 
-class _Dinic:
-    """Integer max-flow (adjacency-array Dinic's algorithm)."""
+def _max_flow(
+    n: int, s: int, t: int, to: list[int], cap: list[int]
+) -> tuple[int, list[int]]:
+    """Integer max flow from s to t (Dinic's algorithm), in place on cap.
 
-    def __init__(self, num_nodes: int):
-        self.n = num_nodes
-        self.head: list[list[int]] = [[] for _ in range(num_nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, c: int, back: int = 0) -> None:
-        """Arc u->v with capacity c, paired with arc v->u of capacity back."""
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(back)
-
-    def max_flow(self, s: int, t: int) -> int:
-        head, to, cap = self.head, self.to, self.cap
-        flow = 0
+    Arc i runs to node to[i] with residual capacity cap[i] and is reversed
+    by arc i ^ 1; each node tries its arcs in id order. Returns the flow
+    and the last BFS levels, >= 0 exactly on the residual reach of s.
+    """
+    head: list[list[int]] = [[] for _ in range(n)]
+    for i in range(len(to)):
+        head[to[i ^ 1]].append(i)
+    flow = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        q = [s]
+        for v in q:  # BFS: the loop also visits the nodes it appends
+            lv = level[v] + 1
+            for i in head[v]:
+                u = to[i]
+                if cap[i] > 0 and level[u] < 0:
+                    level[u] = lv
+                    q.append(u)
+        if level[t] < 0:
+            return flow, level
+        # blocking flow without recursion: grow a path of level arcs
+        # from s one arc at a time, augment it on reaching t, and
+        # retreat from dead ends
+        it = [0] * n
+        path: list[int] = []  # arc ids from s to the tip v
+        v = s
         while True:
-            level = [-1] * self.n
-            level[s] = 0
-            q = deque([s])
-            while q:
-                v = q.popleft()
-                lv = level[v] + 1
-                for i in head[v]:
-                    u = to[i]
-                    if cap[i] > 0 and level[u] < 0:
-                        level[u] = lv
-                        q.append(u)
-            if level[t] < 0:
-                # the residual reach of s: the minimal min cut's source side
-                self.level = level
-                return flow
-            # blocking flow without recursion: grow a path of level arcs
-            # from s one arc at a time, augment it on reaching t, and
-            # retreat from dead ends
-            it = [0] * self.n
-            path: list[int] = []  # arc ids from s to the tip v
-            v = s
-            while True:
-                if v == t:
-                    push = min(map(cap.__getitem__, path))
-                    for i in path:
-                        cap[i] -= push
-                        cap[i ^ 1] += push
-                    flow += push
-                    k = 0
-                    while cap[path[k]]:
-                        k += 1
-                    del path[k:]  # resume at the first saturated arc's tail
+            if v == t:
+                push = min(map(cap.__getitem__, path))
+                for i in path:
+                    cap[i] -= push
+                    cap[i ^ 1] += push
+                flow += push
+                k = 0
+                while cap[path[k]]:
+                    k += 1
+                del path[k:]  # resume at the first saturated arc's tail
+            else:
+                arcs, lv, j = head[v], level[v] + 1, it[v]
+                while j < len(arcs) and not (
+                    cap[arcs[j]] > 0 and level[to[arcs[j]]] == lv
+                ):
+                    j += 1
+                it[v] = j
+                if j < len(arcs):
+                    path.append(arcs[j])
+                elif v == s:
+                    break
                 else:
-                    arcs, lv, j = head[v], level[v] + 1, it[v]
-                    while j < len(arcs) and not (
-                        cap[arcs[j]] > 0 and level[to[arcs[j]]] == lv
-                    ):
-                        j += 1
-                    it[v] = j
-                    if j < len(arcs):
-                        path.append(arcs[j])
-                    elif v == s:
-                        break
-                    else:
-                        level[v] = -1  # dead end for the rest of this phase
-                        path.pop()
-                v = to[path[-1]] if path else s
+                    level[v] = -1  # dead end for the rest of this phase
+                    path.pop()
+            v = to[path[-1]] if path else s
+
+
+def _transship(
+    g: Graph, supply: list[int], fwd: int, back: int
+) -> tuple[bool, list[int], set[int]]:
+    """Route each vertex's surplus supply[v] > 0 to the deficits, along g.
+
+    Edge e = (u, v) is arc 2e, carrying up to fwd from u to v and up to
+    back from v to u; the source's arc to each surplus and each deficit's
+    arc to the sink follow in vertex order. Returns whether all of it was
+    routed, each edge's residual toward u (back plus its flow from u to v)
+    and the vertices left reachable from the source.
+    """
+    to = [w for u, v in g.edges for w in (v, u)]
+    cap = [fwd, back] * g.m
+    for v, x in enumerate(supply):  # the source is node n, the sink n + 1
+        if x:
+            to += (v, g.n) if x > 0 else (g.n + 1, v)
+            cap += (abs(x), 0)
+    flow, level = _max_flow(g.n + 2, g.n, g.n + 1, to, cap)
+    reach = {v for v in range(g.n) if level[v] >= 0}
+    return flow >= sum(x for x in supply if x > 0), cap[1 : 2 * g.m : 2], reach
 
 
 def _denser_than(g: Graph, guess: Fraction) -> tuple[set[int] | None, list[int]]:
@@ -112,42 +122,22 @@ def _denser_than(g: Graph, guess: Fraction) -> tuple[set[int] | None, list[int]]
     Goldberg's construction: source->v with capacity m, v->sink with capacity
     m + 2*guess - deg(v), each edge with capacity 1 both ways; the min cut is
     m*n - 2*max_S (|E(S)| - guess*|S|). Capacities are scaled by the guess's
-    denominator b to stay integral. Returns (S, []) when such an S exists, S
-    the source side of the minimal min cut. Otherwise the flow saturates
-    every source arc and the result is (None, give): edge e = (u, v) hands v
-    the share give[e] / (2b) of itself, that is b plus its flow toward v,
-    and by flow conservation no vertex then carries more than guess.
+    denominator b to stay integral. The direct flow along every path s->v->t
+    leaves v the surplus (deg(v) - 2*guess)*b, a deficit when negative, and
+    no augmenting path or residual reach of s uses an arc into s or out of
+    t, so what is left is that transshipment along the edges.
 
-    The flow starts from the direct flow along every path s->v->t, and
-    Dinic's algorithm routes the rest. Every maximum flow leaves the same
-    set reachable from s in its residual graph, so S does not depend on the
-    start; give may, and the certificate check reads it either way.
+    Returns (S, []) when such an S exists, S the source side of the minimal
+    min cut, the same for every maximum flow. Otherwise every surplus is
+    routed and the result is (None, give): edge e = (u, v) hands v the share
+    give[e] / (2b) of itself, that is b plus its flow toward v, and by flow
+    conservation no vertex then carries more than guess. give depends on
+    the flow found, and the certificate check reads it either way.
     """
-    n, m = g.n, g.m
-    b = guess.denominator
-    a = guess.numerator
-    net = _Dinic(n + 2)
-    src, snk = n, n + 1
-    for v in range(n):
-        net.add_edge(src, v, m * b)
-        net.add_edge(v, snk, m * b + 2 * a - g.degree(v) * b)
-    for u, v in g.edges:
-        net.add_edge(u, v, b, b)
-    # v's source arc is arc 4v and its sink arc 4v + 2, each paired with
-    # the next arc
-    cap, direct = net.cap, 0
-    for i in range(0, 4 * n, 4):
-        push = min(cap[i], cap[i + 2])
-        cap[i] -= push
-        cap[i + 1] += push
-        cap[i + 2] -= push
-        cap[i + 3] += push
-        direct += push
-    flow = direct + net.max_flow(src, snk)
-    if flow >= m * n * b:
-        # edge e's arc u->v is arc 4n + 2e; its pair's residual is b + f(u->v)
-        return None, net.cap[4 * n + 1 :: 2]
-    return {v for v in range(n) if net.level[v] >= 0}, []
+    a, b = guess.numerator, guess.denominator
+    supply = [g.degree(v) * b - 2 * a for v in range(g.n)]
+    routed, give, reach = _transship(g, supply, b, b)
+    return (None, give) if routed else (reach, [])
 
 
 def _check_certificate(
@@ -276,15 +266,13 @@ def exact_densest(g: Graph) -> OracleResult:
         gone = [g.n] * g.n
         for i, v in enumerate(order[:stripped]):
             gone[v] = i
-        flow_give: list[int] = []
-        if stripped < g.n:
-            sub, old_ids = g.induced(v for v in range(g.n) if gone[v] == g.n)
-            while True:
-                better, flow_give = _denser_than(sub, lo)
-                if better is None:
-                    break
-                witness = {old_ids[i] for i in better}
-                lo = Fraction(sub.induced_edge_count(better), len(better))
+        sub, old_ids = g.induced(v for v in range(g.n) if gone[v] == g.n)
+        while True:
+            better, flow_give = _denser_than(sub, lo)
+            if better is None:
+                break
+            witness = {old_ids[i] for i in better}
+            lo = Fraction(sub.induced_edge_count(better), len(better))
         den = 2 * lo.denominator
         # core edges keep the induced subgraph's (sorted) order
         core_shares = iter(flow_give)
@@ -339,30 +327,17 @@ def _mask_ids(mask: int) -> tuple[int, ...]:
 def witness_orientation(g: Graph, alpha: int) -> Orientation | None:
     """An orientation with max outdegree <= alpha, or None if none exists.
 
-    One integral max flow: every edge starts pointing at its larger
-    endpoint, the source feeds each vertex its excess out - alpha, the sink
-    drains its spare alpha - out, and each edge (u, v) is a unit arc u->v
-    whose flow moves one outdegree from u to v by flipping the edge. Some
-    orientation fits under alpha iff the flow carries the whole excess.
+    One transshipment: every edge starts pointing at its larger endpoint,
+    vertex v has the surplus out(v) - alpha, and each edge (u, v) is a unit
+    arc u->v whose flow moves one outdegree from u to v by flipping the
+    edge. Some orientation fits under alpha iff every surplus is routed.
     """
-    out = [0] * g.n
-    for u, _ in g.edges:
-        out[u] += 1
-    net = _Dinic(g.n + 2)
-    src, snk = g.n, g.n + 1
-    for u, v in g.edges:  # edge e's arc u->v is arc 2e
-        net.add_edge(u, v, 1)
-    excess = 0
-    for v in range(g.n):
-        if out[v] > alpha:
-            net.add_edge(src, v, out[v] - alpha)
-            excess += out[v] - alpha
-        elif out[v] < alpha:
-            net.add_edge(v, snk, alpha - out[v])
-    if net.max_flow(src, snk) < excess:
+    out = Orientation(g.n, g.edges, (1,) * g.m).outdegs()
+    routed, flipped, _ = _transship(g, [x - alpha for x in out], 1, 0)
+    if not routed:
         return None
-    # a saturated arc (residual 0) is a flipped edge, now pointing at u
-    o = Orientation(g.n, g.edges, tuple(net.cap[0 : 2 * g.m : 2]))
+    # an edge whose unit crossed it now points at u
+    o = Orientation(g.n, g.edges, tuple(1 - x for x in flipped))
     if o.max_outdeg() > alpha:
         raise AssertionError("witness orientation: an outdegree exceeds alpha")
     return o

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densub import oracle
@@ -70,19 +70,39 @@ def plain_core(g: Graph, lo: Fraction) -> set[int]:
 
 
 def plain_flow_reach(g: Graph, guess: Fraction) -> set[int] | None:
-    """Goldberg's network at guess, solved by a plain Dinic from zero flow:
-    None if the flow saturates every source arc, else the residual reach
-    of the source."""
+    """Goldberg's full network at guess (source n, sink n + 1), solved by
+    Edmonds-Karp from zero flow: None if the flow saturates every source
+    arc, else the residual reach of the source."""
     n, m, a, b = g.n, g.m, guess.numerator, guess.denominator
-    net = oracle._Dinic(n + 2)
+    res = [[0] * (n + 2) for _ in range(n + 2)]  # residual capacities
     for v in range(n):
-        net.add_edge(n, v, m * b)
-        net.add_edge(v, n + 1, m * b + 2 * a - g.degree(v) * b)
+        res[n][v] = m * b
+        res[v][n + 1] = m * b + 2 * a - g.degree(v) * b
     for u, v in g.edges:
-        net.add_edge(u, v, b, b)
-    if net.max_flow(n, n + 1) >= m * n * b:
+        res[u][v] = res[v][u] = b
+    flow = 0
+    while True:
+        parent = {n: None}
+        queue = [n]
+        for u in queue:  # BFS for a shortest augmenting path
+            for v in range(n + 2):
+                if res[u][v] > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if n + 1 not in parent:
+            break
+        arcs, v = [], n + 1
+        while parent[v] is not None:
+            arcs.append((parent[v], v))
+            v = parent[v]
+        push = min(res[u][v] for u, v in arcs)
+        for u, v in arcs:
+            res[u][v] -= push
+            res[v][u] += push
+        flow += push
+    if flow >= m * n * b:
         return None
-    return {v for v in range(n) if net.level[v] >= 0}
+    return {v for v in parent if v < n}
 
 
 @given(cyclic_graphs())
@@ -98,6 +118,46 @@ def test_preflow_and_peel_match_their_references(g):
     d = exact_densest(g).value
     for guess in (bound, d, d - Fraction(1, g.n**2)):
         assert oracle._denser_than(g, guess)[0] == plain_flow_reach(g, guess)
+
+
+@st.composite
+def flow_networks(draw):
+    """Up to 12 nodes and 40 arc pairs (u, v, capacity, reverse capacity),
+    zero and anti-parallel capacities included."""
+    n = draw(st.integers(2, 12))
+    node, c = st.integers(0, n - 1), st.integers(0, 9)
+    pairs = st.tuples(node, node, c, c).filter(lambda p: p[0] != p[1])
+    return n, draw(st.lists(pairs, max_size=40))
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+@given(net=flow_networks())
+# random networks this small rarely need a unit undone; here the first
+# shortest path 0-1-3-6 must be cancelled on 1-3 to reach flow 2
+@example(net=(7, [(0, 1, 1, 0), (0, 2, 1, 0), (1, 3, 1, 0), (3, 6, 1, 0),
+                  (1, 4, 1, 0), (4, 5, 1, 0), (5, 6, 1, 0), (2, 3, 1, 0)]))
+@settings(max_examples=300, deadline=None)
+def test_max_flow_matches_networkx(nx, net):
+    n, pairs = net
+    to = [w for u, v, _, _ in pairs for w in (v, u)]
+    cap = [x for _, _, c, r in pairs for x in (c, r)]
+    caps: dict[tuple[int, int], int] = {}
+    for i, c in enumerate(cap):  # arc i runs from to[i ^ 1] to to[i]
+        caps[to[i ^ 1], to[i]] = caps.get((to[i ^ 1], to[i]), 0) + c
+    h = nx.DiGraph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from((a, b, {"capacity": c}) for (a, b), c in caps.items())
+    flow, level = oracle._max_flow(n, 0, n - 1, to, list(cap))
+    assert flow == nx.maximum_flow_value(h, 0, n - 1)
+    # the reach of s is the source side of a cut of that value
+    assert level[0] >= 0 > level[n - 1]
+    assert flow == sum(
+        c for i, c in enumerate(cap) if level[to[i ^ 1]] >= 0 > level[to[i]]
+    )
 
 
 class TestBruteDensest:
@@ -195,8 +255,9 @@ class TestExactDensest:
             (path_square(3000), Fraction(1999, 1000)),
             (cycle(3000), Fraction(1)),
             (grid(40, 40), Fraction(39, 20)),
+            (grid(3, 1500), Fraction(833, 500)),
         ],
-        ids=["path_square_3000", "cycle_3000", "grid_40x40"],
+        ids=["path_square_3000", "cycle_3000", "grid_40x40", "grid_3x1500"],
     )
     def test_scale_few_flows(self, monkeypatch, g, d):
         flows = []
@@ -211,7 +272,7 @@ class TestExactDensest:
         r = exact_densest(g)
         assert r.value == d
         assert density(g, r.best_subset) == d
-        assert len(flows) <= 3
+        assert len(flows) == 1  # the peel bound is already D
         assert len(seen) == 1
 
 
@@ -241,7 +302,9 @@ class TestMinMaxOutdegree:
 
     def test_overstated_flow_fails_the_witness_check(self, monkeypatch):
         # no arc flipped: vertex 0 keeps all 4 of its edges
-        monkeypatch.setattr(oracle._Dinic, "max_flow", lambda self, s, t: 10**9)
+        monkeypatch.setattr(
+            oracle, "_max_flow", lambda n, s, t, to, cap: (10**9, [-1] * n)
+        )
         with pytest.raises(AssertionError, match="an outdegree exceeds alpha"):
             witness_orientation(complete(5), 2)
 
