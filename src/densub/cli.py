@@ -9,6 +9,7 @@ check in the run passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -249,6 +250,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache  # built once per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="densub",

@@ -10,6 +10,7 @@ integral max flow, rounds this out.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,61 +38,113 @@ class OracleResult:
 def _max_flow(
     n: int, s: int, t: int, to: list[int], cap: list[int]
 ) -> tuple[int, list[int]]:
-    """Integer max flow from s to t (Dinic's algorithm), in place on cap.
+    """Integer max flow from s to t, in place on cap, with its minimal min cut.
 
-    Arc i runs to node to[i] with residual capacity cap[i] and is reversed
-    by arc i ^ 1; each node tries its arcs in id order. Returns the flow
-    and the last BFS levels, >= 0 exactly on the residual reach of s.
+    FIFO push-relabel stopped after its first phase (Goldberg & Tarjan
+    1988), with global relabeling and the gap heuristic at the constants of
+    Cherkassky & Goldberg 1997. Arc i runs to node to[i] with residual
+    capacity cap[i] and is reversed by arc i ^ 1. The source's arcs are
+    saturated and each node is labeled with its residual distance to t, n
+    if it has none; active nodes below n then push their excess down to
+    lower labels until none is left, and t's excess is the flow f.
+
+    Returns f and mark, >= 0 exactly on S: the residual reach of s and of
+    every node left holding excess. S is the source side of the minimal min
+    cut, which is the residual reach of s under every maximum flow:
+    - No residual arc leaves S, and t is not in S: a node left with excess
+      has label n, and a valid labeling with s at n puts such a node, and
+      everything it reaches, out of t's reach.
+    - No node outside S but t holds excess, so the net flow into V - S is
+      f, which with no residual arc leaving S is the cut's capacity. Every
+      cut's capacity is at least the excess on its sink side, so f is the
+      max flow and S a min cut.
+    - For every min cut (A, B), the net flow into B is at most the cut's
+      capacity f and at least B's excess, so B holds no excess but t's and
+      no residual arc leaves A: A contains S.
+    When t's excess is all that s sent, no other node holds excess and the
+    preflow is a flow.
     """
     head: list[list[int]] = [[] for _ in range(n)]
     for i in range(len(to)):
         head[to[i ^ 1]].append(i)
-    flow = 0
-    while True:
-        level = [-1] * n
-        level[s] = 0
-        q = [s]
-        for v in q:  # BFS: the loop also visits the nodes it appends
-            lv = level[v] + 1
-            for i in head[v]:
-                u = to[i]
-                if cap[i] > 0 and level[u] < 0:
-                    level[u] = lv
-                    q.append(u)
-        if level[t] < 0:
-            return flow, level
-        # blocking flow without recursion: grow a path of level arcs
-        # from s one arc at a time, augment it on reaching t, and
-        # retreat from dead ends
-        it = [0] * n
-        path: list[int] = []  # arc ids from s to the tip v
-        v = s
-        while True:
-            if v == t:
-                push = min(map(cap.__getitem__, path))
-                for i in path:
-                    cap[i] -= push
-                    cap[i ^ 1] += push
-                flow += push
-                k = 0
-                while cap[path[k]]:
-                    k += 1
-                del path[k:]  # resume at the first saturated arc's tail
-            else:
-                arcs, lv, j = head[v], level[v] + 1, it[v]
-                while j < len(arcs) and not (
-                    cap[arcs[j]] > 0 and level[to[arcs[j]]] == lv
-                ):
-                    j += 1
-                it[v] = j
-                if j < len(arcs):
-                    path.append(arcs[j])
-                elif v == s:
-                    break
-                else:
-                    level[v] = -1  # dead end for the rest of this phase
-                    path.pop()
-            v = to[path[-1]] if path else s
+    excess = [0] * n
+    for i in head[s]:
+        excess[to[i]] += cap[i]
+        cap[i ^ 1] += cap[i]
+        cap[i] = 0
+    active = deque(v for v in range(n) if excess[v] and v != t)
+    # relabel globally before the first discharge, then whenever the work
+    # since (arcs scanned by relabels, plus 12 each) reaches 12 per node
+    # and 1 per arc
+    work = every = 12 * n + len(to)
+    while active:
+        if work >= every:  # exact residual distances to t, n if none
+            label, work = [n] * n, 0
+            label[t] = 0
+            q = [t]
+            for v in q:  # BFS: the loop also visits the nodes it appends
+                lv = label[v] + 1
+                for i in head[v]:
+                    u = to[i]
+                    if cap[i ^ 1] and label[u] == n:
+                        label[u] = lv
+                        q.append(u)
+            count = [0] * (n + 1)  # nodes per label; n is out of play
+            for d in label:
+                count[d] += 1
+            cur = [0] * n  # each node's current arc
+        v = active.popleft()
+        d = label[v]
+        arcs, j, ex = head[v], cur[v], excess[v]
+        while d < n:
+            while j < len(arcs):  # push down admissible arcs
+                i = arcs[j]
+                c = cap[i]
+                if c and label[to[i]] == d - 1:
+                    u = to[i]
+                    if not excess[u] and u != t:
+                        active.append(u)
+                    if ex < c:  # the arc stays admissible: keep it current
+                        cap[i] = c - ex
+                        cap[i ^ 1] += ex
+                        excess[u] += ex
+                        ex = 0
+                        break
+                    cap[i] = 0
+                    cap[i ^ 1] += c
+                    excess[u] += c
+                    ex -= c
+                    if not ex:
+                        break
+                j += 1
+            if not ex:
+                break
+            # relabel: one above the lowest residual neighbour
+            work += len(arcs) + 12
+            count[d] -= 1
+            if count[d]:
+                d = min(min((label[to[i]] for i in arcs if cap[i]), default=n) + 1, n)
+            else:  # gap: nothing labeled above d can reach t any more
+                for w in range(n):
+                    if d < label[w] < n:
+                        count[label[w]] -= 1
+                        label[w] = n
+                d = n
+            count[d] += 1
+            label[v], j = d, 0
+        excess[v], cur[v] = ex, j
+    # S: the residual reach of s and of every node left holding excess
+    mark = [-1] * n
+    q = [s] + [v for v in range(n) if excess[v] and v != t]
+    for v in q:
+        mark[v] = 0
+    for v in q:  # BFS: the loop also visits the nodes it appends
+        for i in head[v]:
+            u = to[i]
+            if cap[i] and mark[u] < 0:
+                mark[u] = 0
+                q.append(u)
+    return excess[t], mark
 
 
 def _transship(
@@ -102,8 +155,9 @@ def _transship(
     Edge e = (u, v) is arc 2e, carrying up to fwd from u to v and up to
     back from v to u; the source's arc to each surplus and each deficit's
     arc to the sink follow in vertex order. Returns whether all of it was
-    routed, each edge's residual toward u (back plus its flow from u to v)
-    and the vertices left reachable from the source.
+    routed, each edge's residual toward u (back plus its flow from u to v,
+    a flow whenever all is routed) and the source side of the minimal min
+    cut: the vertices the source reaches under every maximum flow.
     """
     to = [w for u, v in g.edges for w in (v, u)]
     cap = [fwd, back] * g.m
@@ -111,8 +165,8 @@ def _transship(
         if x:
             to += (v, g.n) if x > 0 else (g.n + 1, v)
             cap += (abs(x), 0)
-    flow, level = _max_flow(g.n + 2, g.n, g.n + 1, to, cap)
-    reach = {v for v in range(g.n) if level[v] >= 0}
+    flow, mark = _max_flow(g.n + 2, g.n, g.n + 1, to, cap)
+    reach = {v for v in range(g.n) if mark[v] >= 0}
     return flow >= sum(x for x in supply if x > 0), cap[1 : 2 * g.m : 2], reach
 
 
@@ -128,8 +182,9 @@ def _denser_than(g: Graph, guess: Fraction) -> tuple[set[int] | None, list[int]]
     t, so what is left is that transshipment along the edges.
 
     Returns (S, []) when such an S exists, S the source side of the minimal
-    min cut, the same for every maximum flow. Otherwise every surplus is
-    routed and the result is (None, give): edge e = (u, v) hands v the share
+    min cut, the same for every maximum flow, which `_max_flow` reads off
+    its preflow. Otherwise every surplus is routed, the preflow is a flow,
+    and the result is (None, give): edge e = (u, v) hands v the share
     give[e] / (2b) of itself, that is b plus its flow toward v, and by flow
     conservation no vertex then carries more than guess. give depends on
     the flow found, and the certificate check reads it either way.
@@ -271,8 +326,10 @@ def exact_densest(g: Graph) -> OracleResult:
             better, flow_give = _denser_than(sub, lo)
             if better is None:
                 break
-            witness = {old_ids[i] for i in better}
-            lo = Fraction(sub.induced_edge_count(better), len(better))
+            denser = Fraction(sub.induced_edge_count(better), len(better))
+            if denser <= lo:  # else the loop could run forever
+                raise AssertionError("oracle: a min-cut set is not denser than lo")
+            witness, lo = {old_ids[i] for i in better}, denser
         den = 2 * lo.denominator
         # core edges keep the induced subgraph's (sorted) order
         core_shares = iter(flow_give)

@@ -94,15 +94,21 @@ class TestCli:
         assert code == 0
         assert payload["command"] == f"exact --in {k5_file}"
 
-    def test_exact_path_square_3000(self, capsys, tmp_path):
+    @pytest.mark.parametrize("n, edges, d", [
         # deep flow paths once overflowed a recursive max-flow search
-        n = 3000
-        edges = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
-        p = tmp_path / "sq.el"
+        (3000, [(i, i + 1) for i in range(2999)] + [(i, i + 2) for i in range(2998)],
+         "1999/1000"),
+        # grid(3, 1500): long augmenting paths, like the path square's
+        (4500, [(r * 1500 + c, r * 1500 + c + 1) for r in range(3) for c in range(1499)]
+         + [(r * 1500 + c, (r + 1) * 1500 + c) for r in range(2) for c in range(1500)],
+         "833/500"),
+    ], ids=["path_square_3000", "grid_3x1500"])
+    def test_exact_at_scale(self, capsys, tmp_path, n, edges, d):
+        p = tmp_path / "g.el"
         p.write_text(write_edge_list(Graph(n, edges)), encoding="utf-8")
         code, payload = run_json(capsys, ["exact", "--in", str(p)])
         assert code == 0
-        assert payload["result"]["D"] == "1999/1000"
+        assert payload["result"]["D"] == d
 
     @pytest.mark.parametrize("graph", ["gnp_3000", "cycle_3000"])
     def test_detect_local_at_3000(self, capsys, graphs_3000, graph):

@@ -140,6 +140,9 @@ def nx():
 # shortest path 0-1-3-6 must be cancelled on 1-3 to reach flow 2
 @example(net=(7, [(0, 1, 1, 0), (0, 2, 1, 0), (1, 3, 1, 0), (3, 6, 1, 0),
                   (1, 4, 1, 0), (4, 5, 1, 0), (5, 6, 1, 0), (2, 3, 1, 0)]))
+# saturating 0->1 strands 4 units at node 1, which 1->2 cannot pass on:
+# node 1 is on the source side though no residual arc reaches it from 0
+@example(net=(3, [(0, 1, 5, 0), (1, 2, 1, 0)]))
 @settings(max_examples=300, deadline=None)
 def test_max_flow_matches_networkx(nx, net):
     n, pairs = net
@@ -151,12 +154,22 @@ def test_max_flow_matches_networkx(nx, net):
     h = nx.DiGraph()
     h.add_nodes_from(range(n))
     h.add_edges_from((a, b, {"capacity": c}) for (a, b), c in caps.items())
-    flow, level = oracle._max_flow(n, 0, n - 1, to, list(cap))
-    assert flow == nx.maximum_flow_value(h, 0, n - 1)
-    # the reach of s is the source side of a cut of that value
-    assert level[0] >= 0 > level[n - 1]
+    value, f = nx.maximum_flow(h, 0, n - 1)
+    flow, mark = oracle._max_flow(n, 0, n - 1, to, list(cap))
+    assert flow == value
+    # the marked set is the residual reach of 0 under networkx's flow: the
+    # minimal min cut's source side, the same for every maximum flow
+    reach, todo = {0}, [0]
+    while todo:
+        a = todo.pop()
+        for b in range(n):
+            left = caps.get((a, b), 0) - f[a].get(b, 0) + f[b].get(a, 0)
+            if left > 0 and b not in reach:
+                reach.add(b)
+                todo.append(b)
+    assert {v for v in range(n) if mark[v] >= 0} == reach
     assert flow == sum(
-        c for i, c in enumerate(cap) if level[to[i ^ 1]] >= 0 > level[to[i]]
+        c for i, c in enumerate(cap) if mark[to[i ^ 1]] >= 0 > mark[to[i]]
     )
 
 
@@ -232,6 +245,17 @@ class TestExactDensest:
             assert r.value == brute_densest(g).value
             assert seen[-1][0] == g and seen[-1][2] == r.value
         assert len(seen) == 200
+
+    def test_a_set_no_denser_than_lo_fails_the_loop(self, monkeypatch):
+        # a faulty min-cut test that keeps answering with all of K5, at
+        # density 2 = lo, would keep the Dinkelbach loop going forever
+        monkeypatch.setattr(
+            oracle, "_denser_than", lambda sub, guess: (set(range(sub.n)), [])
+        )
+        with pytest.raises(
+            AssertionError, match="oracle: a min-cut set is not denser than lo"
+        ):
+            exact_densest(complete(5))
 
     def test_certificate_rejects_tampering(self, monkeypatch):
         # K4 plus a pendant vertex: D = 3/2 on the K4, the whole graph 7/5
