@@ -6,7 +6,7 @@ import types as _types
 
 from .decompose import Clustering, ldd_traced
 from .detect_congest import approx_densest, congest_detect
-from .detect_local import DetectionOutput, local_detect
+from .detect_local import local_detect
 from .engine import (
     RoundTrace,
     VertexProgram,
@@ -18,7 +18,6 @@ from .engine import (
 from .graphs import (
     Graph,
     Orientation,
-    Subset,
     density,
     generate,
     lowerbound_pair,

@@ -63,7 +63,7 @@ def _marked_check(g: Graph, marked, dtilde: Fraction, eps: Fraction) -> dict:
     """density(marked) >= (1-eps)*dtilde; an empty output is sound for any
     dtilde."""
     bound = (1 - eps) * dtilde
-    if not len(marked):
+    if not marked:
         return _check(bound, 0, True)
     achieved = density(g, marked)
     return _check(bound, achieved, achieved >= bound)
@@ -99,15 +99,21 @@ def cmd_gen(args) -> int:
 def cmd_exact(args, g):
     res = oracle.brute_densest(g) if args.brute else oracle.exact_densest(g)
     result = {"D": format_ratio(res.value),
-              "witness": list(res.best_subset.ids())}
+              "witness": list(res.best_subset)}
     return result, None, None
 
 
 def cmd_detect_local(args, g):
     dtilde, eps = parse_ratio(args.dtilde), parse_ratio(args.eps)
-    out, trace = dl.local_detect(g, dtilde, eps)
-    result = out.to_json(g, trace.rounds_executed)
-    return result, _marked_check(g, out.marked, dtilde, eps), trace
+    marked, black, trace = dl.local_detect(g, dtilde, eps)
+    check = _marked_check(g, marked, dtilde, eps)
+    result = {
+        "marked": list(marked),
+        "density": check["achieved"] if marked else None,
+        "rounds": trace.rounds_executed,
+        "black": list(black),
+    }
+    return result, check, trace
 
 
 def cmd_detect_congest(args, g):
@@ -117,8 +123,8 @@ def cmd_detect_congest(args, g):
     )
     check = _marked_check(g, sub, dtilde, eps)
     result = {
-        "marked": list(sub.ids()),
-        "density": check["achieved"] if len(sub) else None,
+        "marked": list(sub),
+        "density": check["achieved"] if sub else None,
         "trials": args.trials or dc.default_trials(g.n),
         "rounds": trace.rounds_executed,
     }
@@ -129,7 +135,7 @@ def cmd_approx(args, g):
     eps = parse_ratio(args.eps)
     sub, dhat, trace = dc.approx_densest(g, eps, args.seed)
     result = {
-        "marked": list(sub.ids()),
+        "marked": list(sub),
         "density": format_ratio(dhat),
         "phases": dc.phase_count(g.n, eps) + 1,
         "rounds": trace.rounds_executed,
@@ -164,7 +170,7 @@ def cmd_primal(args, g):
     bound, achieved = (1 - 3 * eps) * z, density(g, sub)
     result = {
         "found": True,
-        "members": list(sub.ids()),
+        "members": list(sub),
         "density": format_ratio(achieved),
         "rounds": trace.rounds_executed,
     }

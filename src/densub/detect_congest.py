@@ -27,7 +27,7 @@ from .engine import (
     congest_cap,
     merge_parallel,
 )
-from .graphs import Graph, Subset, density
+from .graphs import Graph, density
 from .mwu import integral_primal
 
 __all__ = ["congest_detect", "approx_densest", "default_trials", "phase_count"]
@@ -49,7 +49,7 @@ def congest_detect(
     eps: Fraction,
     seed: int,
     trials_override: int | None = None,
-) -> tuple[Subset, RoundTrace]:
+) -> tuple[tuple[int, ...], RoundTrace]:
     """Mark a vertex set of density at least (1-eps)*dtilde, CONGEST model.
 
     Marking is monotone within a run: once marked, a vertex stays marked,
@@ -71,7 +71,7 @@ def congest_detect(
     if trials < 1:
         raise ValueError(f"trials_override must be positive, got {trials}")
     if dtilde == 0:
-        return Subset(g.n, range(g.n)), RoundTrace()
+        return tuple(range(g.n)), RoundTrace()
     cap = congest_cap(g.n)
     z = (1 - eps / 2) * dtilde
     eps_inner = eps / 8
@@ -108,14 +108,13 @@ def congest_detect(
                 if got is None:
                     misses[key] = ptrace
                 else:
-                    for i in got.ids():
+                    for i in got:
                         marked[old_ids[i]] = True
             if ptrace is not None:
                 cluster_traces.append(ptrace)
         if cluster_traces:
             trace.then(merge_parallel(cluster_traces))
-    out = Subset(g.n, [v for v in range(g.n) if marked[v]])
-    return out, trace
+    return tuple(v for v in range(g.n) if marked[v]), trace
 
 
 def phase_count(n: int, eps: Fraction) -> int:
@@ -130,7 +129,7 @@ def phase_count(n: int, eps: Fraction) -> int:
 
 def approx_densest(
     g: Graph, eps: Fraction, seed: int
-) -> tuple[Subset, Fraction, RoundTrace]:
+) -> tuple[tuple[int, ...], Fraction, RoundTrace]:
     """(1-eps)-approximate densest subgraph via geometric guessing.
 
     Runs the detector at guesses (1+eps)^i for i = 0..ceil(log_{1+eps} n);
@@ -149,14 +148,14 @@ def approx_densest(
     for i in range(phases):
         sub, tr = congest_detect(g, guess, eps, _mix(seed, 1000 + i))
         trace.then(tr)
-        for v in sub.members:
+        for v in sub:
             psi[v] = i
         guess *= 1 + eps
     # called through the module, so a wrapper installed there sees the call
     neg_best, agg_trace = engine.component_aggregate(g, [-p for p in psi])
     trace.then(agg_trace)
     # psi[v] is the last phase that marked v, so v is in that phase's marks
-    final = [v for v in range(g.n) if psi[v] >= 0 and psi[v] == -neg_best[v]]
-    out = Subset(g.n, final)
-    dhat = density(g, out) if final else Fraction(0)
-    return out, dhat, trace
+    final = tuple(
+        v for v in range(g.n) if psi[v] >= 0 and psi[v] == -neg_best[v]
+    )
+    return final, density(g, final) if final else Fraction(0), trace

@@ -13,35 +13,16 @@ dense subgraph of that diameter exists whenever dtilde <= D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
 
 from .decompose import shift_budget
 from .engine import RoundTrace, _local_nbrs, _sweep, collect_ball, msg_bits
-from .graphs import Graph, Subset, density, format_ratio
+from .graphs import Graph
 from . import oracle
 
-__all__ = ["DetectionOutput", "detection_radius", "local_detect"]
-
-
-@dataclass(frozen=True)
-class DetectionOutput:
-    marked: Subset
-    black: tuple[int, ...]
-    radius: int
-
-    def to_json(self, g: Graph, rounds: int) -> dict:
-        dens = (
-            format_ratio(density(g, self.marked)) if len(self.marked) else None
-        )
-        return {
-            "marked": list(self.marked.ids()),
-            "density": dens,
-            "rounds": rounds,
-            "black": list(self.black),
-        }
+__all__ = ["detection_radius", "local_detect"]
 
 
 def detection_radius(n: int, eps: Fraction) -> int:
@@ -65,16 +46,17 @@ def _ball_optimum(g: Graph, verts, edges):
         pos = {v: i for i, v in enumerate(verts)}
         sub = Graph._canonical(len(verts), [(pos[a], pos[b]) for a, b in edges])
     res = oracle.exact_densest(sub)
-    return frozenset(verts[i] for i in res.best_subset.ids()), res.value
+    return tuple(verts[i] for i in res.best_subset), res.value
 
 
 def local_detect(
     g: Graph, dtilde: Fraction, eps: Fraction
-) -> tuple[DetectionOutput, RoundTrace]:
+) -> tuple[tuple[int, ...], tuple[int, ...], RoundTrace]:
     """Mark a vertex set of density at least (1-eps)*dtilde, LOCAL model.
 
-    The marked set is empty only when no radius-r ball holds a subgraph
-    that dense, which cannot happen for dtilde <= D. Charged phases:
+    Returns (marked, black, trace), marked and black each a sorted tuple
+    of ids. The marked set is empty only when no radius-r ball holds a
+    subgraph that dense, which cannot happen for dtilde <= D. Charged phases:
     (r+1)-round ball gathering, 2r rounds of (id, flag) gossip (after k
     rounds a vertex has heard of everything within distance k, one entry
     each), and the winners' stamps flooding r hops, every arc of a black
@@ -120,5 +102,5 @@ def local_detect(
     for v in black:
         trace.charge(4 + len(best[v][0]) * w, 2 * len(balls[v][1]) * (r + 1))
     trace.rounds_executed += r + 1
-    marked = Subset(g.n, set().union(*(best[v][0] for v in black)))
-    return DetectionOutput(marked, tuple(black), r), trace
+    marked = set().union(*(best[v][0] for v in black))
+    return tuple(sorted(marked)), tuple(black), trace

@@ -394,7 +394,7 @@ def component_aggregate(g: Graph, values: Sequence):
         agg = min(values[v] for v in comp)
         for v in comp:
             result[v] = agg
-        diam = _component_diameter(g, comp)
+        diam = _component_diameter(_local_nbrs(g, comp))
         trace.rounds_executed = max(trace.rounds_executed, 2 * diam + 2)
         trace.charge(msg_bits(agg), 2 * (len(comp) - 1))
     return result, trace
@@ -432,8 +432,9 @@ def _sweep(nbrs: list[list[int]], rows: list[int], levels: int):
     yield rows, levels
 
 
-def _component_diameter(g: Graph, comp: list[int]) -> int:
-    """Exact diameter of the connected component `comp`: the levels an
-    all-sources sweep of single-vertex rows takes to fill every row."""
-    rows = [1 << i for i in range(len(comp))]
-    return sum(1 for _ in _sweep(_local_nbrs(g, comp), rows, len(comp))) - 1
+def _component_diameter(nbrs: list[list[int]]) -> int:
+    """Exact diameter of a connected component given by its local adjacency
+    `nbrs`: the levels an all-sources sweep of single-vertex rows takes to
+    fill every row."""
+    rows = [1 << i for i in range(len(nbrs))]
+    return sum(1 for _ in _sweep(nbrs, rows, len(nbrs))) - 1

@@ -15,7 +15,6 @@ from typing import Iterable
 
 __all__ = [
     "Graph",
-    "Subset",
     "Orientation",
     "EdgeListError",
     "density",
@@ -266,42 +265,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class Subset:
-    """A vertex subset tied to a graph of a fixed vertex count."""
-
-    __slots__ = ("n", "members")
-
-    def __init__(self, n: int, members: Iterable[int]):
-        mem = frozenset(members)
-        for v in mem:
-            if not (0 <= v < n):
-                raise ValueError(f"vertex {v} out of range for n={n}")
-        self.n = n
-        self.members = mem
-
-    def ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.members
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subset)
-            and self.n == other.n
-            and self.members == other.members
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.members))
-
-    def __repr__(self) -> str:
-        return f"Subset(n={self.n}, ids={sorted(self.members)})"
-
-
 @dataclass(frozen=True)
 class Orientation:
     """One direction per edge of an edge list.
@@ -337,13 +300,15 @@ class Orientation:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def density(g: Graph, s: Subset) -> Fraction:
-    """Exact density |E(G[s])| / |s| of the induced subgraph."""
-    if s.n != g.n:
-        raise ValueError("subset does not belong to this graph")
-    if len(s) == 0:
+def density(g: Graph, vertices: Iterable[int]) -> Fraction:
+    """Exact density |E(G[s])| / |s| of the subgraph induced by the ids s."""
+    s = set(vertices)
+    if not s:
         raise ValueError("density is undefined for the empty subset")
-    return Fraction(g.induced_edge_count(s.members), len(s))
+    lo, hi = min(s), max(s)
+    if lo < 0 or hi >= g.n:
+        raise ValueError(f"vertex {lo if lo < 0 else hi} out of range for n={g.n}")
+    return Fraction(g.induced_edge_count(s), len(s))
 
 
 # ---------------------------------------------------------------------------

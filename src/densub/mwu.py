@@ -37,7 +37,6 @@ from .engine import (
 )
 from .graphs import (
     Graph,
-    Subset,
     ceil_ln,
     ceil_log2,
     format_ratio,
@@ -258,7 +257,7 @@ class _PrimalDetector:
             ports = [(v, g.degree(v) * q, (q - 1) * g.degree(v)) for v in comp]
             nbrs = _local_nbrs(g, comp)
             self.parts.append((
-                ci, ports, nbrs, _component_diameter(g, comp), mc,
+                ci, ports, nbrs, _component_diameter(nbrs), mc,
                 load_range_bound(mc, eps),
             ))
         self.prev_lmin = [0] * len(comps)
@@ -340,7 +339,7 @@ def integral_primal(
     eps: Fraction,
     T_override: int | None = None,
     cap_bits: int | None = None,
-) -> tuple[Subset | None, RoundTrace]:
+) -> tuple[tuple[int, ...] | None, RoundTrace]:
     """Load-guided search for a subgraph of density at least (1-3*eps)*z.
 
     Runs the grant dynamics and, each iteration, scans the level sets
@@ -362,7 +361,7 @@ def integral_primal(
 
     _, trace = run(g, loads, T + 2, cap, round_hook=hook)
     trace.then(detector.trace)
-    return (Subset(g.n, found) if found else None), trace
+    return (tuple(sorted(found)) if found else None), trace
 
 
 def alpha_bit_width(sol: DualSolution) -> int:

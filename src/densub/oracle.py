@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, Orientation, Subset
+from .graphs import Graph, Orientation, frac_ceil
 
 __all__ = [
     "OracleResult",
@@ -29,9 +29,9 @@ BRUTE_VERTEX_CAP = 20
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Certified optimum: the witness attains `value` and nothing beats it."""
+    """Certified optimum: the witness (sorted ids) attains the maximum `value`."""
 
-    best_subset: Subset
+    best_subset: tuple[int, ...]
     value: Fraction
 
 
@@ -340,7 +340,7 @@ def exact_densest(g: Graph) -> OracleResult:
             for u, v in g.edges
         ]
     _check_certificate(g, witness, lo, den, give)
-    g._densest = OracleResult(Subset(g.n, sorted(witness)), lo)
+    g._densest = OracleResult(tuple(sorted(witness)), lo)
     return g._densest
 
 
@@ -374,7 +374,7 @@ def brute_densest(g: Graph) -> OracleResult:
         ):
             best = d
             best_mask = mask
-    return OracleResult(Subset(g.n, _mask_ids(best_mask)), best)
+    return OracleResult(_mask_ids(best_mask), best)
 
 
 def _mask_ids(mask: int) -> tuple[int, ...]:
@@ -405,7 +405,7 @@ def min_max_outdegree(g: Graph) -> tuple[int, Orientation]:
     if g.m == 0:
         return 0, Orientation(g.n, g.edges, ())
     d = exact_densest(g).value
-    alpha = -((-d.numerator) // d.denominator)  # ceil(D)
+    alpha = frac_ceil(d)
     o = witness_orientation(g, alpha)
     if o is None:
         raise AssertionError("an orientation at ceil(D) must exist")

@@ -570,8 +570,8 @@ def test_public_api_is_pinned():
     # a new export needs a caller outside tests/; growing this list is a
     # deliberate change, not a side effect
     assert sorted(densub.__all__) == [
-        "Clustering", "DetectionOutput", "DualSolution", "Graph",
-        "OracleResult", "Orientation", "RoundTrace", "Subset",
+        "Clustering", "DualSolution", "Graph",
+        "OracleResult", "Orientation", "RoundTrace",
         "VertexProgram", "alpha_bit_width", "approx_densest", "brute_densest",
         "collect_ball", "component_aggregate",
         "congest_detect", "density", "directed_split", "exact_densest",

@@ -6,7 +6,6 @@ from densub import detect_congest
 from densub.detect_congest import approx_densest, congest_detect, default_trials
 from densub.graphs import (
     Graph,
-    Subset,
     complete,
     cycle,
     density,
@@ -52,7 +51,7 @@ class TestCongestDetect:
         out, trace = congest_detect(g, Fraction(3), Fraction(1, 8), seed=1)
         assert len(out) > 0
         assert density(g, out) >= Fraction(7, 8) * 3
-        assert out.ids() == tuple(range(8))
+        assert out == tuple(range(8))
 
     def test_overshoot_gives_empty(self):
         g = cycle(20)
@@ -66,8 +65,8 @@ class TestCongestDetect:
         g = two_cliques(6, 100)
         for seed in range(20):
             out, _ = congest_detect(g, Fraction(2), Fraction(1, 8), seed=seed)
-            assert len(set(range(6)) & set(out.members)) >= 5
-            assert len(set(range(100, 106)) & set(out.members)) >= 5
+            assert len(set(range(6)) & set(out)) >= 5
+            assert len(set(range(100, 106)) & set(out)) >= 5
             assert density(g, out) >= Fraction(7, 8) * 2
 
     def test_soundness_every_seed(self):
@@ -101,7 +100,7 @@ class TestCongestDetect:
 
     def test_zero_dtilde_marks_everyone_for_free(self):
         out, trace = congest_detect(cycle(5), 0, Fraction(1, 8), seed=1)
-        assert out.ids() == tuple(range(5))
+        assert out == tuple(range(5))
         assert trace.to_json() == {
             "rounds": 0, "max_message_bits": 0, "total_bits": 0,
             "violations": [],
@@ -148,7 +147,7 @@ class TestManyComponents:
         g = many_components()
         out, trace = congest_detect(g, Fraction(3, 2), Fraction(1, 8), seed=2)
         # exactly the 30 K4s (density 3/2) pass (7/8) * 3/2
-        assert out.ids() == tuple(range(350, 470))
+        assert out == tuple(range(350, 470))
         assert trace.to_json() == {
             "rounds": 51_239,
             "max_message_bits": 11,
@@ -167,7 +166,7 @@ class TestManyComponents:
         }
         for z, (ids, rounds, bits) in want.items():
             sub, trace = integral_primal(g, z, Fraction(1, 8), T_override=32)
-            assert sub.ids() == tuple(ids)
+            assert sub == tuple(ids)
             assert trace.to_json() == {
                 "rounds": rounds,
                 "max_message_bits": 8,
@@ -183,7 +182,7 @@ class TestApproxDensest:
         assert d == 4
         eps = Fraction(1, 8)
         out, dhat, _ = approx_densest(g, eps, seed=11)
-        assert set(range(5, 14)) <= set(out.members)
+        assert set(range(5, 14)) <= set(out)
         assert dhat >= (1 - eps) * d / (1 + eps)
         assert dhat == density(g, out)
 
@@ -268,12 +267,12 @@ class TestPrimalReplay:
                     if got is None:
                         missed.add(tuple(members))
                     else:
-                        marked.update(old_ids[i] for i in got.ids())
+                        marked.update(old_ids[i] for i in got)
             assert next(runs, None) is None
             primal_calls += len(call["primal"])
         assert (primal_calls, pairs) == (38, 141)
         # output and trace as before the replay
-        assert out.ids() == (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11)
+        assert out == (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11)
         assert dhat == Fraction(27, 11)
         assert trace.to_json() == {
             "rounds": 615_720,

@@ -10,7 +10,6 @@ from densub.detect_local import _ball_optimum, detection_radius, local_detect
 from densub.engine import RoundTrace, msg_bits
 from densub.graphs import (
     Graph,
-    Subset,
     barbell,
     cycle,
     density,
@@ -38,26 +37,26 @@ def spaced_clique_pair():
 class TestLocalDetect:
     def test_c20_all_marked(self):
         g = cycle(20)
-        out, trace = local_detect(g, Fraction(1), Fraction(1, 5))
-        assert out.marked.ids() == tuple(range(20))
-        assert density(g, out.marked) == 1
-        assert len(out.black) == 1
+        marked, black, _ = local_detect(g, Fraction(1), Fraction(1, 5))
+        assert marked == tuple(range(20))
+        assert density(g, marked) == 1
+        assert len(black) == 1
 
     def test_c20_overshoot_empty(self):
         g = cycle(20)
-        out, _ = local_detect(g, Fraction(2), Fraction(1, 8))
-        assert len(out.marked) == 0
-        assert out.black == ()
+        marked, black, _ = local_detect(g, Fraction(2), Fraction(1, 8))
+        assert marked == ()
+        assert black == ()
 
     def test_far_clique_pair_two_blacks(self):
         g, eps = spaced_clique_pair()
-        out, trace = local_detect(g, Fraction(2), eps)
-        assert len(out.black) == 2
-        assert density(g, out.marked) >= (1 - eps) * 2
+        marked, black, _ = local_detect(g, Fraction(2), eps)
+        assert len(black) == 2
+        assert density(g, marked) >= (1 - eps) * 2
         # both cliques marked, none of the connecting path
-        assert set(range(5)) <= set(out.marked.members)
-        assert set(range(g.n - 5, g.n)) <= set(out.marked.members)
-        assert density(g, out.marked) == 2
+        assert set(range(5)) <= set(marked)
+        assert set(range(g.n - 5, g.n)) <= set(marked)
+        assert density(g, marked) == 2
 
     def test_round_bound(self):
         for g, eps in [
@@ -65,7 +64,7 @@ class TestLocalDetect:
             (erdos_renyi(40, 0.2, seed=2), Fraction(1, 4)),
         ]:
             r = detection_radius(g.n, eps)
-            _, trace = local_detect(g, Fraction(1), eps)
+            trace = local_detect(g, Fraction(1), eps)[2]
             assert trace.rounds_executed <= 4 * r + 8
 
     def test_soundness_any_dtilde(self):
@@ -76,29 +75,30 @@ class TestLocalDetect:
                 continue
             dtilde = Fraction(rng.randint(1, 4), rng.randint(1, 3))
             eps = Fraction(1, 4)
-            out, _ = local_detect(g, dtilde, eps)
-            if len(out.marked):
-                assert density(g, out.marked) >= (1 - eps) * dtilde
+            marked = local_detect(g, dtilde, eps)[0]
+            if marked:
+                assert density(g, marked) >= (1 - eps) * dtilde
 
     def test_completeness_at_oracle_density(self):
         rng = random.Random(6)
         for trial in range(6):
             g = planted_dense(30, 5, seed=trial)
             d = exact_densest(g).value
-            out, _ = local_detect(g, d, Fraction(1, 4))
-            assert len(out.marked) > 0
-            assert density(g, out.marked) >= (1 - Fraction(1, 4)) * d
+            marked = local_detect(g, d, Fraction(1, 4))[0]
+            assert marked
+            assert density(g, marked) >= (1 - Fraction(1, 4)) * d
 
     def test_black_vertices_disjoint_marks(self):
         g, eps = spaced_clique_pair()
-        out, _ = local_detect(g, Fraction(2), eps)
+        _, black, _ = local_detect(g, Fraction(2), eps)
         # stamped subgraphs of distinct black vertices never share vertices:
         # blacks are > 2r apart while stamps live in radius-r balls
-        dists = {b: g.distances_from(b) for b in out.black}
-        for a in out.black:
-            for b in out.black:
+        r = detection_radius(g.n, eps)
+        dists = {b: g.distances_from(b) for b in black}
+        for a in black:
+            for b in black:
                 if a < b:
-                    assert dists[a][b] < 0 or dists[a][b] > 2 * out.radius
+                    assert dists[a][b] < 0 or dists[a][b] > 2 * r
 
 
 # (graph, dtilde, eps, marked, black, (rounds, max_message_bits, total_bits))
@@ -151,9 +151,8 @@ class TestPinnedTraces:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_local_detect(self, name):
         g, dtilde, eps, marked, black, cost = PINNED[name]
-        out, trace = local_detect(g, dtilde, eps)
-        assert out.marked.ids() == marked
-        assert out.black == black
+        *got, trace = local_detect(g, dtilde, eps)
+        assert got == [marked, black]
         assert (
             trace.rounds_executed, trace.max_message_bits, trace.total_bits
         ) == cost
@@ -166,19 +165,20 @@ class TestPinnedTraces:
         # election; the winner broadcast reuses the balls
         g, dtilde, eps, marked, black, _ = PINNED[name]
         calls = counting_sweeps(monkeypatch)
-        out, _ = local_detect(g, dtilde, eps)
-        assert (out.marked.ids(), out.black) == (marked, black)
+        assert local_detect(g, dtilde, eps)[:2] == (marked, black)
+        r = detection_radius(g.n, eps)
         assert len(calls) == 2 * len(g.components()) <= 2 * g.n
-        assert {levels for levels, _ in calls} <= {out.radius + 1, 2 * out.radius}
+        assert {levels for levels, _ in calls} <= {r + 1, 2 * r}
 
     def test_only_the_ball_bfs_counts_edges(self, monkeypatch):
         # only the ball sweep's rows carry edge bits; the 2r sweep feeds
         # the gossip charge and the election, which read vertices only
         g, dtilde, eps = PINNED["planted30"][:3]
         calls = counting_sweeps(monkeypatch)
-        out, _ = local_detect(g, dtilde, eps)
+        local_detect(g, dtilde, eps)
+        r = detection_radius(g.n, eps)
         assert {c for c in calls if c[1] is not None} == {
-            (out.radius + 1, True), (2 * out.radius, False)
+            (r + 1, True), (2 * r, False)
         }
 
 
@@ -277,6 +277,6 @@ class TestBelowDiameter:
         dtilde = scale * exact_densest(g).value
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(detect_local, "detection_radius", lambda n, e: r)
-            out, trace = local_detect(g, dtilde, eps)
-        got = (out.marked.ids(), out.black, trace.to_json())
+            marked, black, trace = local_detect(g, dtilde, eps)
+        got = (marked, black, trace.to_json())
         assert got == reference_local_detect(g, dtilde, eps, r)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densub import engine
 from densub.engine import (
     CongestViolation,
     MaxRoundsExceeded,
@@ -536,7 +537,7 @@ def _grid(a, b):
 
 class TestComponentDiameter:
     def test_equals_all_pairs_bfs_without_bfs_calls(self, monkeypatch):
-        from densub.engine import _component_diameter
+        from densub.engine import _component_diameter, _local_nbrs
         from densub.graphs import erdos_renyi
 
         rng = random.Random(11)
@@ -554,7 +555,10 @@ class TestComponentDiameter:
 
         monkeypatch.setattr(Graph, "distances_from", no_bfs)
         monkeypatch.setattr(Graph, "bfs", no_bfs)
-        got = [[_component_diameter(g, c) for c in g.components()] for g in graphs]
+        got = [
+            [_component_diameter(_local_nbrs(g, c)) for c in g.components()]
+            for g in graphs
+        ]
         assert got == want
 
 
@@ -597,12 +601,22 @@ class TestCollectBall:
             # equal balls are one shared object
             assert all(b is ball for b in balls if b == ball)
 
-    def test_small_radius_on_long_cycle_is_fast(self):
+    def test_small_radius_on_long_cycle_is_fast(self, monkeypatch):
+        # the sweep stops after r+1 = 11 levels, not the cycle's 1,500
+        levels, sweep = [], engine._sweep
+
+        def counted(nbrs, rows, n_levels):
+            for rows, times in sweep(nbrs, rows, n_levels):
+                levels.append(times)
+                yield rows, times
+
+        monkeypatch.setattr(engine, "_sweep", counted)
         start = time.perf_counter()
         balls, _ = collect_ball(cycle(3000), 10)
         elapsed = time.perf_counter() - start
         assert balls[0][0] == tuple(range(11)) + tuple(range(2990, 3000))
         assert len(balls[0][1]) == 20
+        assert len(levels) <= 11
         assert elapsed < 1.0, f"collect_ball took {elapsed:.2f}s"
 
     def test_radius_zero(self):

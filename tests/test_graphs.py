@@ -19,7 +19,6 @@ from densub.graphs import (
     EdgeListError,
     Graph,
     Orientation,
-    Subset,
     barbell,
     ceil_ln,
     ceil_log2,
@@ -37,13 +36,13 @@ from densub.graphs import (
     read_edge_list,
     write_edge_list,
 )
-from densub.mwu import fractional_dual
+from densub.mwu import fractional_dual, integral_primal
 from densub.oracle import brute_densest, exact_densest
 from densub.orient import orient_low_outdegree_detailed, path_decompose, split_levels
 
 
 def full(g):
-    return Subset(g.n, range(g.n))
+    return range(g.n)
 
 
 class TestGraphInvariants:
@@ -137,7 +136,7 @@ class TestDensity:
 
     def test_empty_subset_error(self):
         with pytest.raises(ValueError):
-            density(path(3), Subset(3, []))
+            density(path(3), [])
 
     def test_chain_density_closed_form(self):
         for t in range(2, 12):
@@ -151,19 +150,49 @@ class TestDensity:
         a = data.draw(st.sets(st.sampled_from(ids), min_size=1, max_size=7))
         rest = [v for v in ids if v not in a]
         b = data.draw(st.sets(st.sampled_from(rest), min_size=1, max_size=6))
-        da = density(g, Subset(g.n, a))
-        db = density(g, Subset(g.n, b))
-        dab = density(g, Subset(g.n, a | b))
+        da = density(g, a)
+        db = density(g, b)
+        dab = density(g, a | b)
         assert dab >= min(da, db)
 
     def test_union_preserves_threshold(self):
         # two vertex-disjoint dense parts both above a bound stay above it
         g = barbell(5, 10)
-        a = Subset(g.n, range(5))
-        b = Subset(g.n, range(g.n - 5, g.n))
+        a = range(5)
+        b = range(g.n - 5, g.n)
         thr = Fraction(9, 5)
         assert density(g, a) >= thr and density(g, b) >= thr
-        assert density(g, Subset(g.n, set(a.members) | set(b.members))) >= thr
+        assert density(g, [*a, *b]) >= thr
+
+
+def assert_id_tuple(ids, n):
+    """ids is a strictly increasing tuple of ints in range(n)."""
+    assert type(ids) is tuple and all(type(v) is int for v in ids), ids
+    assert all(a < b for a, b in zip((-1, *ids), (*ids, n))), ids
+
+
+class TestVertexSetResults:
+    @given(
+        st.integers(1, 14),
+        st.sampled_from([0.2, 0.4, 0.7]),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_vertex_set_is_a_sorted_id_tuple(self, n, p, seed):
+        g = erdos_renyi(n, p, seed)
+        d = exact_densest(g).value
+        eps = Fraction(1, 8)
+        found, _ = integral_primal(g, max(d, 1), eps, T_override=64)
+        sets = [
+            exact_densest(g).best_subset,
+            brute_densest(g).best_subset,
+            *local_detect(g, d, Fraction(1, 4))[:2],
+            congest_detect(g, d, eps, seed)[0],
+            approx_densest(g, eps, seed)[0],
+            *([] if found is None else [found]),
+        ]
+        for ids in sets:
+            assert_id_tuple(ids, g.n)
 
 
 class TestOrientation:
@@ -334,9 +363,7 @@ KINDS = ["barbell", "complete", "cycle", "erdos_renyi", "lowerbound_pair",
         (lambda: Graph(3, [(1, 1)]), "self-loop at vertex 1"),
         (lambda: Graph(3, [(0, 3)]), "edge (0, 3) out of range for n=3"),
         (lambda: Graph(3, [(1, 0), (0, 1)]), "duplicate edge (0, 1)"),
-        (lambda: Subset(3, [3]), "vertex 3 out of range for n=3"),
-        (lambda: density(path(3), Subset(4, [0])),
-         "subset does not belong to this graph"),
+        (lambda: density(path(3), [3]), "vertex 3 out of range for n=3"),
         (lambda: cycle(2), "cycle needs at least 3 vertices"),
         (lambda: path(0), "path needs at least 1 vertex"),
         (lambda: complete(0), "complete graph needs at least 1 vertex"),
@@ -369,7 +396,7 @@ KINDS = ["barbell", "complete", "cycle", "erdos_renyi", "lowerbound_pair",
     ],
     ids=[
         "graph-n", "digraph-loop", "digraph-range", "digraph-dup",
-        "subset-range", "density-foreign", "cycle", "path", "complete",
+        "subset-range", "cycle", "path", "complete",
         "erdos_renyi", "planted_dense", "barbell", "generate", "ceil_log2",
         "exact", "brute", "ldd-eps", "approx-eps",
         "local-eps", "congest-dtilde", "local-dtilde", "dual-z",

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from densub.engine import congest_cap, run
 from densub.graphs import (
     Graph,
-    Subset,
     ceil_ln,
     complete,
     cycle,
@@ -110,7 +109,7 @@ def reference_primal(g, z, eps, T):
     convergecast rounds, diam+1+2*span pair-stream rounds and diam+1 more
     on success; span runs from l_min to the winning level or, with no
     winner, to the highest ceil(load) <= l_max. Scans cost the maximum
-    over components. Returns (Subset or None, rounds executed)."""
+    over components. Returns (sorted ids or None, rounds executed)."""
     cz = frac_ceil(z / 2)
     thr = (1 - 3 * eps) * z
     comps = []
@@ -143,7 +142,7 @@ def reference_primal(g, z, eps, T):
             cost = max(cost, (2 * diam + 2) + (diam + 1 + 2 * span) + extra)
         rounds += cost
         if won:
-            return Subset(g.n, won), k + 1 + rounds
+            return tuple(sorted(won)), k + 1 + rounds
     return None, T + 1 + rounds
 
 
@@ -423,7 +422,7 @@ class TestIntegralPrimal:
         assert sub is not None
         assert density(g, sub) >= (1 - 3 * eps) * z
         # the dense region found must come from the clique core
-        assert len(set(range(6)) & set(sub.members)) >= 2
+        assert len(set(range(6)) & set(sub)) >= 2
 
     def test_disjunction_over_z_range(self):
         rng = random.Random(9)

@@ -10,7 +10,6 @@ from densub import oracle
 from densub.graphs import (
     Graph,
     Orientation,
-    Subset,
     complete,
     cycle,
     density,
@@ -181,7 +180,7 @@ class TestBruteDensest:
     def test_c5_whole_cycle(self):
         r = brute_densest(cycle(5))
         assert r.value == 1
-        assert r.best_subset.ids() == (0, 1, 2, 3, 4)
+        assert r.best_subset == (0, 1, 2, 3, 4)
 
     def test_p4(self):
         r = brute_densest(path(4))
@@ -190,7 +189,7 @@ class TestBruteDensest:
     def test_tie_lexicographic(self):
         # two disjoint edges: both have density 1/2; {0,1} is lex-smallest
         r = brute_densest(Graph(4, [(0, 1), (2, 3)]))
-        assert r.best_subset.ids() == (0, 1)
+        assert r.best_subset == (0, 1)
 
     def test_refuses_large(self):
         with pytest.raises(ValueError):
@@ -217,7 +216,7 @@ class TestExactDensest:
     def test_k5(self):
         r = exact_densest(complete(5))
         assert r.value == 2
-        assert r.best_subset.ids() == (0, 1, 2, 3, 4)
+        assert r.best_subset == (0, 1, 2, 3, 4)
 
     def test_edgeless(self):
         r = exact_densest(Graph(3, []))
@@ -344,9 +343,25 @@ class TestMinMaxOutdegree:
                 assert alpha - 1 < d
                 assert witness_orientation(g, alpha - 1) is None or alpha - 1 >= d
 
-    def test_scale_witness_from_one_flow(self):
+    def test_scale_witness_from_one_flow(self, monkeypatch):
         # three graphs of 1,600 to 3,000 vertices in a 2 s budget (0.7 s
-        # measured on a 2-core VM), the exact oracle's two calls included
+        # measured on a 2-core VM), the exact oracle's two calls included;
+        # each witness orientation is read off exactly one max flow
+        flows, per_witness = [], []
+        max_flow, witness = oracle._max_flow, oracle.witness_orientation
+
+        def counted_flow(*args):
+            flows.append(1)
+            return max_flow(*args)
+
+        def counted_witness(g, alpha):
+            before = len(flows)
+            o = witness(g, alpha)
+            per_witness.append(len(flows) - before)
+            return o
+
+        monkeypatch.setattr(oracle, "_max_flow", counted_flow)
+        monkeypatch.setattr(oracle, "witness_orientation", counted_witness)
         t0 = time.perf_counter()
         for g in (cycle(3000), grid(40, 40), erdos_renyi(2000, 0.005, seed=1)):
             alpha, o = min_max_outdegree(g)
@@ -354,8 +369,9 @@ class TestMinMaxOutdegree:
             assert o.edges == g.edges and len(o.dir_bits) == g.m
             d = exact_densest(g).value
             assert o.max_outdeg() == alpha == -((-d.numerator) // d.denominator)
-            assert witness_orientation(g, alpha - 1) is None
+            assert oracle.witness_orientation(g, alpha - 1) is None
         elapsed = time.perf_counter() - t0
+        assert per_witness == [1] * 6
         assert elapsed <= 2, f"scale witnesses took {elapsed:.2f}s > 2s"
 
 
