@@ -34,6 +34,7 @@ depth of the phase.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -89,6 +90,7 @@ def _weak_orient_edges(n: int, ends: list[int]) -> WeakOrientationResult:
     for sv in slots:
         flat += sv
         flat += (-1, -1)[: -len(sv) % 3]
+    del slots
     num_copies = len(flat) // 3
     ec = [0] * (m2 + 1)
     it = iter(flat)
@@ -163,13 +165,15 @@ def _weak_orient_edges(n: int, ends: list[int]) -> WeakOrientationResult:
         # endpoint accepts the smallest designating sink id, then the path
         # is flipped walking back from the endpoint to the sink. Accepted
         # paths share no copy, so the flips commute.
-        accepted, path_len_total = set(), 0
+        accepted, was_sink = bytearray(num_copies), bytearray(num_copies)
+        path_len_total = 0
         for s in sinks:
+            was_sink[s] = 1
             x = hits[s] % per_layer
             w, x = divmod(x, m2)
-            if w in accepted:
+            if accepted[w]:
                 continue
-            accepted.add(w)
+            accepted[w] = 1
             while True:
                 c = ec[x]
                 head[x] = 0
@@ -181,7 +185,7 @@ def _weak_orient_edges(n: int, ends: list[int]) -> WeakOrientationResult:
                     break
                 x = via[c]
         new_sinks = [c for c, d in enumerate(indeg) if d == 3]
-        if not set(new_sinks) <= set(sinks):
+        if not all(map(was_sink.__getitem__, new_sinks)):
             raise RuntimeError("an augmenting-path flip created a new sink")
         if len(sinks) - len(new_sinks) < -(-len(sinks) // 3):
             raise RuntimeError(
@@ -218,7 +222,9 @@ def _decompose_edges(
     # open path k runs from end 2k to end 2k + 1: ends[x] is the vertex at
     # end x, tip[x] the edge there; the ends are the virtual edge's sides
     ends = list(chain.from_iterable(edges))
-    tip = list(chain.from_iterable(zip(*[range(1, len(edges) + 1)] * 2)))
+    # both ends of a path share its edge id object
+    tip = [0] * len(ends)
+    tip[::2] = tip[1::2] = list(range(1, len(edges) + 1))
     link = [0] * (len(edges) + 1)
     length = [1] * len(edges)
     cycles: list[tuple[int, int]] = []
@@ -388,8 +394,11 @@ def orient_low_outdegree_detailed(
     t = min(alpha_fraction_bits(sol), ceil_log2(Fraction(delta) / eps2))
     scale = 1 << t
     # ceil(alpha * 2^t) in the dual's slots: a[2e + s] is side s of edge e,
-    # side 0 the smaller endpoint
-    a = [-(-x * scale // sol.den) for x in sol.shares]
+    # side 0 the smaller endpoint. The slots hold a few dozen distinct
+    # values, so every step maps each distinct value once and the slots
+    # share those few int objects instead of holding one per slot.
+    snap = {x: -(-x * scale // sol.den) for x in set(sol.shares)}
+    a = list(map(snap.__getitem__, sol.shares))
     del sol  # only the snapped slots are read from here on
     records: list[IterationRecord] = []
     bound = (1 + eps1) * (1 + eps2) * dtilde
@@ -400,8 +409,11 @@ def orient_low_outdegree_detailed(
             # an edge with the bit on both sides is split; every other
             # side rounds down, and so does a split edge's head, while its
             # tail rounds up: clear the bit everywhere, carry 2*bit to tails
-            in_split = [x for x in range(0, len(a), 2) if a[x] & a[x + 1] & bit]
-            a = [y & ~bit for y in a]
+            in_split = array(
+                "l", [x for x in range(0, len(a), 2) if a[x] & a[x + 1] & bit]
+            )
+            cleared = {y: y & ~bit for y in set(a)}
+            a = list(map(cleared.__getitem__, a))
             # one bit-exchange round precedes the split every iteration
             trace.rounds_executed += 1
             trace.charge(8, 2 * g.m)
@@ -410,8 +422,10 @@ def orient_low_outdegree_detailed(
                 split, split_trace = _split_edge_list(g.n, sub_edges, eps3)
                 trace.then(split_trace)
                 # dir_bits 1 puts the tail at side 0
+                up = {y: y + (bit << 1) for y in cleared.values()}
                 for x, d in zip(in_split, split.dir_bits):
-                    a[x + 1 - d] += bit << 1
+                    x += 1 - d
+                    a[x] = up[a[x]]
             bound = (1 + eps3) * bound + Fraction(12, 1 << (t - k + 1))
             min_cover = Fraction(min(map(add, a[::2], a[1::2])), scale)
             sums = [0] * g.n

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from densub.detect_congest import congest_detect
 from densub.detect_local import local_detect
 from densub.graphs import Graph, density
 from densub.oracle import exact_densest
@@ -35,3 +36,15 @@ def test_local_detection_and_weak_orientation_on_every_atlas_graph(atlas):
         assert all(
             x >= g.degree(v) // 3 for v, x in enumerate(o.outdegs())
         ), g.edges
+
+
+def test_congest_detection_is_sound_on_every_atlas_graph(atlas):
+    # soundness holds on every run; completeness only w.h.p., so the empty
+    # outputs are counted and pinned rather than forbidden
+    eps, empty = Fraction(1, 8), 0
+    for g in atlas:
+        d = exact_densest(g).value
+        marked = congest_detect(g, d, eps, 1)[0]
+        empty += not marked
+        assert not marked or density(g, marked) >= (1 - eps) * d, g.edges
+    assert empty == 0

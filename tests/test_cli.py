@@ -626,3 +626,69 @@ def test_every_src_definition_is_referenced_from_src():
         if name not in used and not (name.startswith("__") and name.endswith("__"))
     }
     assert unreferenced == SRC_UNREFERENCED
+
+
+# (module, function, site) of every float literal, float(...) call and math
+# use in src/densub/; no float may decide a guarantee-bearing quantity
+SRC_FLOAT_SITES = {
+    # the LDD's exponential shifts (ROADMAP item 21)
+    ("decompose", "_ClusterRace.init", "2.0"),
+    ("decompose", "_ClusterRace.init", "float()"),
+    ("decompose", "_ClusterRace.init", "math.floor"),
+    ("decompose", "_ClusterRace.init", "math.log"),
+    ("decompose", "ldd_traced", "float()"),
+    # generator-side edge probabilities
+    ("graphs", "erdos_renyi", "0.0"),
+    ("graphs", "erdos_renyi", "1.0"),
+    ("graphs", "erdos_renyi", "float()"),
+    ("graphs", "planted_dense", "0.05"),
+    # integer gcd, exact
+    ("mwu", "_assemble_dual", "math.gcd"),
+    ("mwu", "alpha_fraction_bits", "math.gcd"),
+}
+
+
+def test_float_sites_in_src_are_pinned():
+    root = pathlib.Path(densub.__file__).parent
+    sites = set()
+
+    def visit(node, module, scope, math_names):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            site = None
+            if isinstance(child, ast.Constant) and type(child.value) is float:
+                site = repr(child.value)
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "float"
+            ):
+                site = "float()"
+            elif (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.value, ast.Name)
+                and math_names.get(child.value.id) == "math"
+            ):
+                site = f"math.{child.attr}"
+            elif isinstance(child, ast.Name) and child.id in math_names:
+                if math_names[child.id] != "math":
+                    site = math_names[child.id]
+            if site:
+                sites.add((module, scope or "<module>", site))
+            visit(child, module, inner, math_names)
+
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        math_names = {}  # local name -> "math" or "math.<function>"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name == "math":
+                        math_names[a.asname or "math"] = "math"
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                for a in node.names:
+                    math_names[a.asname or a.name] = f"math.{a.name}"
+        visit(tree, path.stem, "", math_names)
+    assert sites == SRC_FLOAT_SITES
