@@ -92,7 +92,7 @@ class _LoadProgram(VertexProgram):
             "key": list(range(deg)),
             "tot": [0] * deg,  # own grants so far per port, units of 1/q
             "pend": None,  # (ports granted 2, port granted rho or -1)
-            "order": [],  # key sorted, as of this round's grants
+            "order": list(range(deg)),  # ports in grant order
         }
 
     def step(self, ctx, state, rnd, inbox):
@@ -115,15 +115,17 @@ class _LoadProgram(VertexProgram):
             return state, (), True
         # codes for this iteration: 2 for the lightest cz-1, 1 for the next
         cz = self.cz
-        keys = state["order"] = sorted(key)
+        # last round's order is nearly sorted, so re-sorting it is cheap
+        order = state["order"]
+        order.sort(key=key.__getitem__)
         tot = state["tot"]
-        twos = [k % deg for k in keys[: cz - 1]]
+        twos = order[: cz - 1]
         for i in twos:
             tot[i] += two
         outbox = [(2, twos)]
         one = -1
         if deg >= cz:
-            one = keys[cz - 1] % deg
+            one = order[cz - 1]
             tot[one] += rho
             outbox.append((1, (one,)))
         state["pend"] = (twos, one)
@@ -230,11 +232,12 @@ class _PrimalDetector:
     word stays well inside a CONGEST word. Rounds and bits are charged
     accordingly; every word is also checked against the cap.
 
-    Each vertex reads its loads off its grant order, the keys the load
-    program sorted this round: floor(load) and ceil(load) are monotone in
-    the key, and an edge's load is the same at both of its ends, so that
-    one sorted list gives the load band, the vertex's join level (the ceil
-    of its cz-th lightest edge) and its highest edge level in the window.
+    Each vertex reads its loads off its grant order, the ports the load
+    program sorted by key this round: floor(load) and ceil(load) are
+    monotone in the key, and an edge's load is the same at both of its
+    ends, so that one order gives the load band, the vertex's join level
+    (the ceil of its cz-th lightest edge) and its highest edge level in the
+    window. The keys do not yet hold this round's own grants.
     """
 
     def __init__(
@@ -280,16 +283,18 @@ class _PrimalDetector:
         for ci, ports, nbrs, diam, mc, load_range in self.parts:
             tree_edges = len(ports) - 1
             # key // (deg*q) is floor(load): the port adds less than deg
-            keys = [states[v]["order"] for v, _, _ in ports]
-            l_min = min([k[0] // dq for k, (_, dq, _) in zip(keys, ports)])
-            floor_max = max([k[-1] // dq for k, (_, dq, _) in zip(keys, ports)])
+            kos = [(states[v]["key"], states[v]["order"]) for v, _, _ in ports]
+            l_min = min([k[o[0]] // dq for (k, o), (_, dq, _) in zip(kos, ports)])
+            floor_max = max([
+                k[o[-1]] // dq for (k, o), (_, dq, _) in zip(kos, ports)
+            ])
             l_max = l_min + load_range
             # v joins V'_l once cz of its edges have ceil(load) <= l; the set
             # only changes at join levels, so only those are tested
             joins = sorted([
-                ((k[cz - 1] + up) // dq, x)
-                for x, (k, (_, dq, up)) in enumerate(zip(keys, ports))
-                if len(k) >= cz
+                ((k[o[cz - 1]] + up) // dq, x)
+                for x, ((k, o), (_, dq, up)) in enumerate(zip(kos, ports))
+                if len(o) >= cz
             ])
             inside = bytearray(len(ports))
             size = e_inside = 0
@@ -310,9 +315,11 @@ class _PrimalDetector:
                 # the pair stream runs to the highest edge level in the
                 # window, joined by a vertex there or not
                 top = max([
-                    (k[i - 1] + up) // dq
-                    for k, (_, dq, up) in zip(keys, ports)
-                    if (i := bisect_left(k, (l_max + 1) * dq - up))
+                    (k[o[i - 1]] + up) // dq
+                    for (k, o), (_, dq, up) in zip(kos, ports)
+                    if (i := bisect_left(
+                        o, (l_max + 1) * dq - up, key=k.__getitem__
+                    ))
                 ])
             span = top - l_min + 1
             # minima travel as offsets within the load band: subtree minima

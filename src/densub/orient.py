@@ -48,7 +48,6 @@ __all__ = [
     "Orientation",
     "WeakOrientationResult",
     "weak_orientation",
-    "path_decompose",
     "directed_split",
     "split_levels",
     "orient_low_outdegree_detailed",
@@ -269,27 +268,6 @@ def _decompose_edges(
         trace.rounds_executed += max_len + 1
         max_len = min(2 * max_len, max(length, default=1))
     return list(zip(ends[::2], tip[::2])) + cycles, link, trace
-
-
-def path_decompose(
-    g: Graph, levels: int
-) -> tuple[tuple[tuple[int, ...], ...], RoundTrace]:
-    """Edge partition into vertex sequences, (2/3)^levels damping of
-    path-end counts, lengths up to 2^levels. A closed sequence has
-    first == last and no path ends."""
-    if levels < 0:
-        raise ValueError("levels must be >= 0")
-    starts, link, trace = _decompose_edges(g.n, list(g.edges), levels)
-    paths = []
-    for v, e in starts:
-        seq, prev = [v], 0
-        while e:
-            a, b = g.edges[e - 1]
-            v = b if v == a else a
-            seq.append(v)
-            prev, e = e, link[e] ^ prev
-        paths.append(tuple(seq))
-    return tuple(paths), trace
 
 
 def split_levels(eps: Fraction) -> int:

@@ -13,7 +13,7 @@ from densub import oracle
 from densub.decompose import ldd_traced
 from densub.detect_congest import approx_densest, congest_detect
 from densub.detect_local import detection_radius, local_detect
-from densub.engine import congest_cap, knowledge_states, run
+from densub.engine import congest_cap, run
 from densub.graphs import (
     Graph,
     barbell,
@@ -39,12 +39,11 @@ from densub.oracle import (
 from densub.orient import (
     directed_split,
     orient_low_outdegree_detailed,
-    path_decompose,
     split_levels,
     weak_orientation,
 )
-from test_engine import reference_run, step_orders
-from test_orient import edge_multiset, endpoint_counts, max_length
+from test_engine import knowledge_states, reference_run, step_orders
+from test_orient import edge_multiset, endpoint_counts, max_length, path_decompose
 
 
 def announce(num, text):

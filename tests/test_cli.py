@@ -13,7 +13,6 @@ from densub.cli import main
 from densub.decompose import Clustering
 from densub.engine import RoundTrace
 from densub.graphs import (
-    Graph,
     barbell,
     complete,
     cycle,
@@ -22,6 +21,7 @@ from densub.graphs import (
     planted_dense,
     write_edge_list,
 )
+from test_oracle import grid, path_square
 
 
 @pytest.fixture
@@ -43,7 +43,9 @@ def graphs_3000(tmp_path_factory):
     root = tmp_path_factory.mktemp("n3000")
     files = {}
     for name, g in [
-        ("gnp_3000", erdos_renyi(3000, 0.002, seed=1)), ("cycle_3000", cycle(3000))
+        ("gnp_3000", erdos_renyi(3000, 0.002, seed=1)), ("cycle_3000", cycle(3000)),
+        # long diameters with cycles in every ball
+        ("path_square_3000", path_square(3000)), ("grid_3x1500", grid(3, 1500)),
     ]:
         path = root / f"{name}.el"
         path.write_text(write_edge_list(g), encoding="utf-8")
@@ -94,19 +96,14 @@ class TestCli:
         assert code == 0
         assert payload["command"] == f"exact --in {k5_file}"
 
-    @pytest.mark.parametrize("n, edges, d", [
+    @pytest.mark.parametrize("graph, d", [
         # deep flow paths once overflowed a recursive max-flow search
-        (3000, [(i, i + 1) for i in range(2999)] + [(i, i + 2) for i in range(2998)],
-         "1999/1000"),
-        # grid(3, 1500): long augmenting paths, like the path square's
-        (4500, [(r * 1500 + c, r * 1500 + c + 1) for r in range(3) for c in range(1499)]
-         + [(r * 1500 + c, (r + 1) * 1500 + c) for r in range(2) for c in range(1500)],
-         "833/500"),
+        ("path_square_3000", "1999/1000"),
+        # long augmenting paths, like the path square's
+        ("grid_3x1500", "833/500"),
     ], ids=["path_square_3000", "grid_3x1500"])
-    def test_exact_at_scale(self, capsys, tmp_path, n, edges, d):
-        p = tmp_path / "g.el"
-        p.write_text(write_edge_list(Graph(n, edges)), encoding="utf-8")
-        code, payload = run_json(capsys, ["exact", "--in", str(p)])
+    def test_exact_at_scale(self, capsys, graphs_3000, graph, d):
+        code, payload = run_json(capsys, ["exact", "--in", graphs_3000[graph]])
         assert code == 0
         assert payload["result"]["D"] == d
 
@@ -118,16 +115,22 @@ class TestCli:
         assert code == 0
         assert payload["check"]["pass"] is True
 
-    @pytest.mark.parametrize("graph", ["gnp_3000", "cycle_3000"])
-    @pytest.mark.parametrize("argv", [
-        "exact",
-        "ldd --eps 1/4",
-        "weak-orient",
-        "split --eps 1/4",
-        "detect-congest --dtilde 1 --eps 1/8",
-        "primal --z 1 --eps 1/8 --T 64",
-        "dual --z 4 --eps 1/8 --T 64",
-    ], ids=lambda argv: argv.split()[0])
+    @pytest.mark.parametrize("argv, graph", [
+        (argv, graph)
+        for graph in ["gnp_3000", "cycle_3000", "path_square_3000", "grid_3x1500"]
+        for argv in [
+            "exact",
+            "ldd --eps 1/4",
+            "weak-orient",
+            "split --eps 1/4",
+            "detect-congest --dtilde 1 --eps 1/8",
+            "primal --z 1 --eps 1/8 --T 64",
+            "dual --z 4 --eps 1/8 --T 64",
+            "orient --dtilde 128 --eps 1/4 --T 64",
+        ]
+        # test_exact_at_scale runs exact on the two long-diameter graphs
+        if argv != "exact" or graph in ("gnp_3000", "cycle_3000")
+    ], ids=lambda arg: arg.split()[0])
     def test_command_at_3000(self, capsys, graphs_3000, argv, graph):
         cmd, *rest = argv.split()
         code, payload = run_json(capsys, [cmd, "--in", graphs_3000[graph], *rest])
@@ -584,9 +587,7 @@ def test_public_api_is_pinned():
 
 # defined in src/densub/ but reached from outside it on purpose
 SRC_UNREFERENCED = {
-    "knowledge_states",  # the LOCAL lower bound's acceptance test
     "min_max_outdegree",  # the exact orientation the acceptance tests compare with
-    "path_decompose",  # the acceptance test of the path decomposition
     "Graph.distances_from",  # perfbench's graphs.bfs span wraps it
     "_Parser.error",  # argparse calls it
 }

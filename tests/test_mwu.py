@@ -295,6 +295,35 @@ class TestFractionalDual:
                 assert outs[v]["key"][i] // deg == q * load[eid]
                 assert outs[v]["tot"][i] == q * grants[v][i]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=small_graphs(),
+        z=st.sampled_from([1, Fraction(3, 2), 2, Fraction(7, 3), 4]),
+        T=st.integers(min_value=1, max_value=8),
+    )
+    def test_grant_order_is_the_ports_sorted_by_key(self, graph, z, T):
+        # each round re-sorts last round's order in place; the grants and
+        # the primal scan read it as the ports sorted by their keys
+        rounds = []
+
+        def hook(rnd, states):
+            if rnd <= T:
+                rounds.append(rnd)
+                for state in states:
+                    key = state["key"]
+                    expected = sorted(range(len(key)), key=key.__getitem__)
+                    assert state["order"] == expected
+            return False
+
+        run(
+            graph,
+            _LoadProgram(Fraction(z), T),
+            max_rounds=T + 2,
+            cap=congest_cap(graph.n),
+            round_hook=hook,
+        )
+        assert rounds == list(range(1, T + 1))
+
     def test_congest_clean_on_n256(self):
         g = erdos_renyi(256, 0.03, seed=1)
         sol, trace = fractional_dual(

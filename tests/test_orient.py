@@ -12,14 +12,35 @@ from densub.graphs import Graph, complete, cycle, erdos_renyi, path
 from densub.mwu import alpha_bit_width, fractional_dual
 from densub.orient import (
     Orientation,
+    _decompose_edges,
     _split_edge_list,
     _weak_orient_edges,
     directed_split,
     orient_low_outdegree_detailed,
-    path_decompose,
     split_levels,
     weak_orientation,
 )
+
+
+def path_decompose(
+    g: Graph, levels: int
+) -> tuple[tuple[tuple[int, ...], ...], RoundTrace]:
+    """Edge partition into vertex sequences, (2/3)^levels damping of
+    path-end counts, lengths up to 2^levels. A closed sequence has
+    first == last and no path ends."""
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
+    starts, link, trace = _decompose_edges(g.n, list(g.edges), levels)
+    paths = []
+    for v, e in starts:
+        seq, prev = [v], 0
+        while e:
+            a, b = g.edges[e - 1]
+            v = b if v == a else a
+            seq.append(v)
+            prev, e = e, link[e] ^ prev
+        paths.append(tuple(seq))
+    return tuple(paths), trace
 
 
 def endpoint_counts(n, paths):
